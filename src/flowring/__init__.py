@@ -52,10 +52,8 @@ from .flow import (
     time_scale,
 )
 from .hurwitz import (
-    ExpSequence,
     HurwitzSeries,
     add_truncating,
-    exp_sequence,
     mul_truncating,
     power_truncating,
 )
@@ -63,8 +61,6 @@ from .oracle import NumericTrajectory, eval_field, fd_flow_derivative_check, rk4
 from .scalars import (
     Domain,
     GaussianRational,
-    Rational,
-    binomial,
     format_scalar,
     parse_scalar,
 )

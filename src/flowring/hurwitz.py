@@ -7,12 +7,24 @@ unknown rather than zero, so binary operations insist on equal orders,
 differentiation shortens the result by one index, and nothing ever pads
 with fabricated zeros.  Use ``truncate`` to trim deliberately and the
 ``*_truncating`` helpers to combine series of different honest lengths.
+
+The coefficients are stored as ``Fraction`` (or ``GaussianRational``)
+values, but ``*`` and ``inverse`` do their arithmetic on integers, the
+layout of FLINT's ``fmpq_poly``: each operand is scaled once to integer
+numerators over the lcm of its denominators (a Gaussian series scales its
+real and imaginary numerators over one shared denominator), the binomial
+convolution runs on plain ints with binomials read from a module-level
+table of Pascal rows, and each output coefficient becomes exactly one
+normalised ``Fraction``.  Results are the same canonical values the
+scalar arithmetic would give.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from fractions import Fraction
+from operator import add, mul
 
 from .errors import (
     DomainMismatchError,
@@ -22,6 +34,56 @@ from .errors import (
     OutOfRangeError,
 )
 from .scalars import Domain, GaussianRational, format_scalar, parse_scalar
+
+
+_ROWS = [(1,)]
+_ROWS_LOCK = threading.Lock()
+
+
+def binomial_rows(order):
+    """Pascal's triangle through row ``order``: ``binomial_rows(n)[n][k] == C(n, k)``.
+
+    One table, keyed by the row n and grown once, serves products of every
+    order; it holds O(N^2) integers for the largest order N seen so far.
+    """
+    if len(_ROWS) <= order:
+        with _ROWS_LOCK:
+            while len(_ROWS) <= order:
+                prev = _ROWS[-1]
+                _ROWS.append((1, *map(add, prev, prev[1:]), 1))
+    return _ROWS
+
+
+def _common_denominator(values):
+    """Integers m_k and the lcm D of the denominators, with values[k] == m_k / D."""
+    dens = [v.denominator for v in values]
+    d = math.lcm(*dens)
+    return [v.numerator * (d // q) for v, q in zip(values, dens)], d
+
+
+def _integer_parts(series):
+    """Integer part vectors over one denominator: ([m], D) or ([re, im], D)."""
+    coeffs = series.coeffs
+    if series.domain is Domain.RATIONAL:
+        nums, d = _common_denominator(coeffs)
+        return [nums], d
+    re = [c.re if isinstance(c, GaussianRational) else c for c in coeffs]
+    im = [c.im if isinstance(c, GaussianRational) else 0 for c in coeffs]
+    nums, d = _common_denominator(re + im)
+    return [nums[: len(coeffs)], nums[len(coeffs) :]], d
+
+
+def _dot(row, x, y_reversed):
+    """sum_k row[k] x[k] y_reversed[k], stopping at the shortest argument."""
+    return sum(map(mul, map(mul, row, x), y_reversed))
+
+
+def _convolve(x, y):
+    """Integer binomial convolution S_n = sum_k C(n, k) x_k y_{n-k}."""
+    rows = binomial_rows(len(x) - 1)
+    y_rev = y[::-1]
+    top = len(y) - 1
+    return [_dot(rows[n], x, y_rev[top - n :]) for n in range(len(x))]
 
 
 def _saturating_float(value):
@@ -173,16 +235,30 @@ class HurwitzSeries:
         return HurwitzSeries([-a for a in self.coeffs], self.domain)
 
     def __mul__(self, other):
+        """Binomial convolution, computed on integers over one denominator.
+
+        With a_k = x_k / D_a and b_k = y_k / D_b, the n-th coefficient is
+        S_n / (D_a D_b) where S_n = sum_k C(n, k) x_k y_{n-k} is an exact
+        int sum; it becomes one ``Fraction`` (a ``GaussianRational`` of two
+        in the Gaussian domain), so entries are always of the domain's type.
+        Gaussian parts use three real convolutions: re = rr - ii and
+        im = (r + i)(r' + i') - rr - ii.
+        """
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        comb = math.comb
-        out = []
-        for n in range(len(a)):
-            acc = a[0] * b[n]
-            for k in range(1, n + 1):
-                acc = acc + comb(n, k) * (a[k] * b[n - k])
-            out.append(acc)
-        return HurwitzSeries(out, self.domain)
+        (x, dx), (y, dy) = _integer_parts(self), _integer_parts(other)
+        d = dx * dy
+        if self.domain is Domain.RATIONAL:
+            return HurwitzSeries([Fraction(s, d) for s in _convolve(x[0], y[0])], self.domain)
+        rr = _convolve(x[0], y[0])
+        ii = _convolve(x[1], y[1])
+        mixed = _convolve(list(map(add, *x)), list(map(add, *y)))
+        return HurwitzSeries(
+            [
+                GaussianRational(Fraction(r - i, d), Fraction(m - r - i, d))
+                for r, i, m in zip(rr, ii, mixed)
+            ],
+            self.domain,
+        )
 
     def hadamard(self, other):
         self._check(other)
@@ -195,20 +271,55 @@ class HurwitzSeries:
         return HurwitzSeries([value * a for a in self.coeffs], self.domain)
 
     def inverse(self):
-        """Inverse under ``*``: b_0 = 1/a_0, b_n = -(1/a_0) sum C(n,h) a_h b_{n-h}."""
-        a = self.coeffs
-        if not a[0]:
+        """Inverse under ``*``, by a fraction-free recurrence on integers.
+
+        With a_k = A_k / D and c = A_0, the inverse is b_n = D P_n / c^(n+1)
+        where P_0 = 1 and P_n = -sum_{h=1..n} C(n, h) A_h P_{n-h} c^(h-1),
+        the recurrence b_n = -(1/a_0) sum C(n, h) a_h b_{n-h} cleared of
+        denominators.  Every P_n is an integer (a Gaussian integer in the
+        Gaussian domain), so each coefficient costs a single division.
+        """
+        if not self.coeffs[0]:
             raise NotAUnitError("leading coefficient is zero; no inverse under *")
-        comb = math.comb
-        inv0 = self.domain.one() / a[0]
-        b = [inv0]
-        for n in range(1, len(a)):
-            acc = None
-            for h in range(1, n + 1):
-                term = comb(n, h) * (a[h] * b[n - h])
-                acc = term if acc is None else acc + term
-            b.append(-inv0 * acc)
-        return HurwitzSeries(b, self.domain)
+        rows = binomial_rows(self.order)
+        parts, d = _integer_parts(self)
+        if self.domain is Domain.RATIONAL:
+            (a,) = parts
+            c = a[0]
+            ac = [a[h] * c ** (h - 1) for h in range(1, len(a))]  # A_h c^(h-1)
+            p = [1]
+            for n in range(1, len(a)):
+                p.append(-_dot(rows[n][1:], ac, p[::-1]))
+            return HurwitzSeries(
+                [Fraction(d * pn, c ** (n + 1)) for n, pn in enumerate(p)], self.domain
+            )
+        a_re, a_im = parts
+        c_re, c_im = a_re[0], a_im[0]
+        ac_re, ac_im = [], []  # A_h c^(h-1)
+        w_re, w_im = 1, 0
+        for h in range(1, len(a_re)):
+            ac_re.append(a_re[h] * w_re - a_im[h] * w_im)
+            ac_im.append(a_re[h] * w_im + a_im[h] * w_re)
+            w_re, w_im = w_re * c_re - w_im * c_im, w_re * c_im + w_im * c_re
+        p_re, p_im = [1], [0]
+        for n in range(1, len(a_re)):
+            row = rows[n][1:]
+            re_rev, im_rev = p_re[::-1], p_im[::-1]
+            p_re.append(_dot(row, ac_im, im_rev) - _dot(row, ac_re, re_rev))
+            p_im.append(-_dot(row, ac_re, im_rev) - _dot(row, ac_im, re_rev))
+        # 1 / c^(n+1) = conj(c)^(n+1) / |c|^(2(n+1))
+        norm = c_re * c_re + c_im * c_im
+        out = []
+        q_re, q_im, q_norm = c_re, -c_im, norm
+        for pr, pi in zip(p_re, p_im):
+            out.append(
+                GaussianRational(
+                    Fraction(d * (pr * q_re - pi * q_im), q_norm),
+                    Fraction(d * (pr * q_im + pi * q_re), q_norm),
+                )
+            )
+            q_re, q_im, q_norm = q_re * c_re + q_im * c_im, q_im * c_re - q_re * c_im, q_norm * norm
+        return HurwitzSeries(out, self.domain)
 
     def derivative(self):
         """Left shift (a_{n+1}); the order shrinks by one."""
@@ -306,19 +417,6 @@ class HurwitzSeries:
                 f"orderX {payload['orderX']} does not match {series.order} coefficients"
             )
         return series
-
-
-@dataclass(frozen=True)
-class ExpSequence:
-    """A geometric sequence together with the base that generated it."""
-
-    base: object
-    series: HurwitzSeries
-
-
-def exp_sequence(base, order, domain=None):
-    series = HurwitzSeries.exp(base, order, domain)
-    return ExpSequence(series.coeffs[1] if order >= 1 else base, series)
 
 
 def mul_truncating(a, b):

@@ -1,4 +1,4 @@
-"""Exact coefficient scalars: rationals, Gaussian rationals, binomials.
+"""Exact coefficient scalars: rationals and Gaussian rationals.
 
 Plain rationals are stdlib ``fractions.Fraction`` values, which already
 keep the canonical form relied on everywhere else (reduced fraction,
@@ -9,16 +9,12 @@ encoding used by the CLI and the JSON formats also lives here.
 
 from __future__ import annotations
 
-import math
 import re
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational as _RationalABC
 
 from .errors import DomainMismatchError, DomainRequiredError, OutOfRangeError
-
-Rational = Fraction
 
 
 class GaussianRational:
@@ -169,14 +165,6 @@ class Domain(Enum):
         if isinstance(value, _RationalABC):
             return Domain.RATIONAL
         raise DomainMismatchError(f"{value!r} is not an exact scalar")
-
-
-@lru_cache(maxsize=None)
-def binomial(n, k):
-    """Exact C(n, k); cached, valid for 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        raise OutOfRangeError(f"binomial({n}, {k}) is out of range")
-    return math.comb(n, k)
 
 
 def to_complex(value):

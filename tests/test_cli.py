@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
 import math
+
+import pytest
 
 from flowring.cli import main
 from flowring.expr import series_from_text
@@ -11,6 +14,34 @@ def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of exit code, stdout and stderr of fixed runs, pinning bit-exact
+# output: any change to a printed coefficient or message changes them.
+GOLDEN = {
+    "series-quartic-n64": (
+        ["series", "--field", "-7/3 + 5/4*x - 11/6*x^2 + 3/10*x^3 - 13/9*x^4",
+         "--order-x", "64", "--order-t", "64", "--format", "json"],
+        "0ba3e6d397f0e3750da3f9ff13019ace74a0c2034886c56734f6af05a91d395b",
+    ),
+    "flow-gaussian-n24": (
+        ["flow", "--field", "1/2 + i*x - 2/3*x^2 + exp(i*x)", "--domain", "gaussian",
+         "--order-x", "24", "--order-t", "12"],
+        "289d0dca96f78ee0a878bab69dd2667bbf2042b8389974b5ff6850d853dddf7a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output_digests(name):
+    argv, digest = GOLDEN[name]
+    code, out, err = run_cli(*argv)
+    assert code == 0
+    assert _sha256(f"{code}\n{out}\0{err}") == digest
 
 
 def test_series_text_output():
@@ -141,6 +172,7 @@ def test_verify_command_passes():
     assert code == 0
     assert "RESULT:" in out
     assert "FAIL" not in out
+    assert _sha256(out) == "1ec24a144c766f7ffb1241910a612896f8d871ed13e8fee09d684feafb4b6fd1"
 
 
 def test_verify_json_format(monkeypatch):

@@ -1,10 +1,14 @@
 import json
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowring import hurwitz
 from flowring.errors import (
     DomainMismatchError,
     NotAUnitError,
@@ -12,10 +16,9 @@ from flowring.errors import (
     OrderMismatchError,
 )
 from flowring.hurwitz import (
-    ExpSequence,
     HurwitzSeries,
     add_truncating,
-    exp_sequence,
+    binomial_rows,
     mul_truncating,
     power_truncating,
 )
@@ -42,6 +45,7 @@ def test_product_examples():
     assert e * a == a
     x = S(0, 1, 0, 0)
     assert x * x == S(0, 0, 2, 0)
+    assert HurwitzSeries.exp(0, 3) == S(1, 0, 0, 0)
 
 
 def test_hadamard_examples():
@@ -69,6 +73,103 @@ def test_inverse_cancels_for_random_units():
     for _ in range(20):
         a = random_unit_series(rng, 12)
         assert a * a.inverse() == HurwitzSeries.constant(1, 12)
+
+
+def _schoolbook_mul(a, b):
+    """(a * b)_n = sum_k C(n, k) a_k b_{n-k}, one scalar operation at a time."""
+    zero = a.domain.zero()
+    x = [a.domain.coerce(c) for c in a.coeffs]
+    y = [b.domain.coerce(c) for c in b.coeffs]
+    return tuple(
+        sum((math.comb(n, k) * x[k] * y[n - k] for k in range(n + 1)), zero)
+        for n in range(len(x))
+    )
+
+
+def _schoolbook_inverse(a):
+    """b_0 = 1/a_0, b_n = -(1/a_0) sum_{h=1..n} C(n, h) a_h b_{n-h}."""
+    zero = a.domain.zero()
+    x = [a.domain.coerce(c) for c in a.coeffs]
+    inv0 = a.domain.one() / x[0]
+    b = [inv0]
+    for n in range(1, len(x)):
+        b.append(-inv0 * sum((math.comb(n, h) * x[h] * b[n - h] for h in range(1, n + 1)), zero))
+    return tuple(b)
+
+
+_small = st.integers(-(10**6), 10**6)
+_rationals = st.one_of(
+    _small,
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**12),
+    st.builds(Fraction, _small, st.integers(1, 10**15)),
+)
+_entries = {
+    Domain.RATIONAL: _rationals,
+    Domain.GAUSSIAN: st.one_of(
+        _rationals,  # Fraction and int entries stay as given in a Gaussian series
+        st.builds(GaussianRational, _rationals, _rationals),
+        st.builds(lambda im: GaussianRational(0, im), _rationals),
+    ),
+}
+
+
+@st.composite
+def _operands(draw):
+    domain = draw(st.sampled_from(Domain))
+    size = draw(st.integers(0, 24)) + 1
+
+    def series():
+        zero = st.just([domain.zero()] * size)
+        dense = st.lists(_entries[domain], min_size=size, max_size=size)
+        return HurwitzSeries(draw(st.one_of(zero, dense)), domain)
+
+    return series(), series()
+
+
+def _types(values):
+    return [type(v) for v in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands())
+def test_integer_kernel_matches_schoolbook(operands):
+    a, b = operands
+    product = a * b
+    expected = _schoolbook_mul(a, b)
+    assert product.coeffs == expected
+    assert _types(product.coeffs) == _types(expected)
+    if not a.coeffs[0]:
+        with pytest.raises(NotAUnitError):
+            a.inverse()
+        return
+    inverse = a.inverse()
+    expected = _schoolbook_inverse(a)
+    assert inverse.coeffs == expected
+    assert _types(inverse.coeffs) == _types(expected)
+
+
+def test_binomial_rows_grow_safely_across_threads(monkeypatch):
+    expected = [[math.comb(n, k) for k in range(n + 1)] for n in range(101)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(hurwitz, "_ROWS", [(1,)])
+            start = threading.Barrier(4)
+
+            def grow():
+                start.wait(timeout=30)
+                binomial_rows(100)
+
+            threads = [threading.Thread(target=grow) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert [list(row) for row in hurwitz._ROWS] == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_derivative_examples():
@@ -146,14 +247,6 @@ def test_truncating_helpers():
     assert add_truncating(a, b) == S(6, 8)
     assert power_truncating(b, 0) == HurwitzSeries.constant(1, 1)
     assert power_truncating(a, 2) == a * a
-
-
-def test_exp_sequence_wrapper():
-    pair = exp_sequence(Fraction(2), 4)
-    assert isinstance(pair, ExpSequence)
-    assert pair.base == 2
-    assert pair.series == HurwitzSeries.exp(2, 4)
-    assert HurwitzSeries.exp(0, 3) == S(1, 0, 0, 0)
 
 
 def test_to_domain_round_trip():

@@ -1,13 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from flowring.errors import DomainMismatchError, DomainRequiredError, OutOfRangeError
+from flowring.hurwitz import binomial_rows
 from flowring.scalars import (
     Domain,
     GaussianRational,
-    binomial,
     format_scalar,
     parse_scalar,
 )
@@ -73,22 +74,25 @@ def test_gaussian_ring_axioms(a, b, c):
 
 
 def test_binomial_examples():
-    assert binomial(4, 2) == 6
-    assert binomial(10, 5) == 252
+    rows = binomial_rows(64)
+    assert rows[4][2] == 6
+    assert rows[10][5] == 252
     for n in range(65):
-        assert binomial(n, 0) == 1
-    with pytest.raises(OutOfRangeError):
-        binomial(3, 4)
-    with pytest.raises(OutOfRangeError):
-        binomial(3, -1)
+        # row n holds exactly C(n, 0) .. C(n, n)
+        assert len(rows[n]) == n + 1
+        assert rows[n][0] == rows[n][n] == 1
+        assert list(rows[n]) == [math.comb(n, k) for k in range(n + 1)]
+    # one table keyed by row: asking for fewer rows neither copies nor shrinks it
+    assert binomial_rows(3) is rows and len(rows) >= 65
 
 
 def test_pascal_identity():
     # with the edge convention C(n-1, n) = 0 at k = n
+    rows = binomial_rows(64)
     for n in range(1, 65):
         for k in range(1, n):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-        assert binomial(n, n) == binomial(n - 1, n - 1)
+            assert rows[n][k] == rows[n - 1][k - 1] + rows[n - 1][k]
+        assert rows[n][n] == rows[n - 1][n - 1]
 
 
 @pytest.mark.parametrize(
