@@ -7,8 +7,10 @@ t^n/n! in the truncated series solution: A_0 = x, A_1 = f, and
 
 with d the series derivative.  Each derivative costs one honest x-order,
 so term n is known to order N - (n - 1) and the bookkeeping below never
-claims more.  The same sequence has a second, independent computation
-path through Bell polynomials: A_{n+1} = Y_n(A_1..A_n; f', .., f^(n)).
+claims more.  Read as an exponential generating series in t, the
+sequence is the flow of f: Phi(t, x) = sum A_n(x) t^n/n!.  The same
+sequence has a second, independent computation path through Bell
+polynomials: A_{n+1} = Y_n(A_1..A_n; f', .., f^(n)).
 
 Sums and products of sequences pull back to the generating fields:
 box_plus(f, g) is the sequence of f + g and box_dot(f, g) the sequence
@@ -67,6 +69,18 @@ class AutonomousSequence:
     def is_zero(self):
         """True when every term past A_0 vanishes (the sequence of f = 0)."""
         return all(t.is_zero() for t in self.terms[1:])
+
+    def eval_at(self, t, x):
+        """Numeric sum of A_n(x) t^n/n! over the known t-orders."""
+        acc = 0.0
+        tpow = 1.0
+        fact = 1
+        for n, term in enumerate(self.terms):
+            if n > 0:
+                tpow *= t
+                fact *= n
+            acc = acc + term.eval_at(x) * (tpow / fact)
+        return acc
 
     def to_json_dict(self):
         return {

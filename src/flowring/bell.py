@@ -14,7 +14,6 @@ ring.  The full polynomial is Y_n(b; a) = sum_k B_{n,k}(b) a_k.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 
 from .errors import OutOfRangeError
@@ -46,15 +45,8 @@ def iter_partitions(n):
     yield from rec([], 1, n)
 
 
-@lru_cache(maxsize=64)
-def _partitions_cached(n):
-    return tuple(iter_partitions(n))
-
-
 def partitions(n):
     """All multiplicity vectors of the partitions of n, as a list."""
-    if n <= 24:
-        return list(_partitions_cached(n))
     return list(iter_partitions(n))
 
 

@@ -26,7 +26,7 @@ from .errors import (
 from .autonomous import autonomous_sequence
 from .bell import bell_polynomial
 from .expr import elaborate, parse
-from .flow import FlowSeries, closed_form_eval, decompose_flow, match_closed_form
+from .flow import closed_form_eval, decompose_flow, match_closed_form
 from .oracle import rk4_solve
 from .scalars import Domain, format_scalar, parse_scalar
 from .verify import run_suite
@@ -131,29 +131,23 @@ def _series_rows(label, terms, out):
         out.write(f"{label.format(n=n)} {row}\n")
 
 
+def _flow_json(seq):
+    """JSON of a sequence read as a flow: the CLI names its terms "tcoeffs"."""
+    return {("tcoeffs" if k == "terms" else k): v for k, v in seq.to_json_dict().items()}
+
+
 def _cmd_series(args, out):
+    """The series and flow commands: one sequence, printed under two names."""
+    is_flow = args.command == "flow"
     domain = Domain(args.domain)
     field = elaborate(parse(args.field), args.order_x, domain)
     seq = autonomous_sequence(field, args.order_t)
     if args.format == "json":
-        json.dump(seq.to_json_dict(), out, indent=2)
+        json.dump(_flow_json(seq) if is_flow else seq.to_json_dict(), out, indent=2)
         out.write("\n")
     else:
         out.write(f"field: {' '.join(format_scalar(c) for c in field.coeffs)}\n")
-        _series_rows("A[{n}]:", seq.terms, out)
-    return EXIT_OK
-
-
-def _cmd_flow(args, out):
-    domain = Domain(args.domain)
-    field = elaborate(parse(args.field), args.order_x, domain)
-    flow = FlowSeries(autonomous_sequence(field, args.order_t))
-    if args.format == "json":
-        json.dump(flow.to_json_dict(), out, indent=2)
-        out.write("\n")
-    else:
-        out.write(f"field: {' '.join(format_scalar(c) for c in field.coeffs)}\n")
-        _series_rows("t[{n}]:", flow.tcoeffs, out)
+        _series_rows("t[{n}]:" if is_flow else "A[{n}]:", seq.terms, out)
     return EXIT_OK
 
 
@@ -161,8 +155,7 @@ def _cmd_eval(args, out):
     domain = Domain(args.domain)
     ast = parse(args.field)
     field = elaborate(ast, args.order_x, domain)
-    flow = FlowSeries(autonomous_sequence(field, args.order_t))
-    series_value = flow.eval_at(args.t, args.x)
+    series_value = autonomous_sequence(field, args.order_t).eval_at(args.t, args.x)
     is_real = not isinstance(series_value, complex) or series_value.imag == 0.0
     if isinstance(series_value, complex) and series_value.imag == 0.0:
         series_value = series_value.real
@@ -205,8 +198,8 @@ def _cmd_decompose(args, out):
     if args.format == "json":
         payload = {
             "mode": args.mode,
-            "combined": result.combined.to_json_dict(),
-            "components": [c.to_json_dict() for c in result.components],
+            "combined": _flow_json(result.combined),
+            "components": [_flow_json(c) for c in result.components],
             "matches_direct": result.matches_direct,
         }
         json.dump(payload, out, indent=2)
@@ -215,10 +208,10 @@ def _cmd_decompose(args, out):
         out.write(f"mode: {args.mode} with {len(parts)} part(s)\n")
         verdict = "PASS" if result.matches_direct else "FAIL"
         out.write(f"combined equals the direct flow: {verdict}\n")
-        _series_rows("t[{n}]:", result.combined.tcoeffs, out)
+        _series_rows("t[{n}]:", result.combined.terms, out)
         for idx, component in enumerate(result.components):
             out.write(f"component[{idx}]:\n")
-            _series_rows("  t[{n}]:", component.tcoeffs, out)
+            _series_rows("  t[{n}]:", component.terms, out)
     return EXIT_OK if result.matches_direct else EXIT_VERIFY
 
 
@@ -258,7 +251,7 @@ def _cmd_rk4_debug(args, out):
 
 _COMMANDS = {
     "series": _cmd_series,
-    "flow": _cmd_flow,
+    "flow": _cmd_series,
     "eval": _cmd_eval,
     "decompose": _cmd_decompose,
     "verify": _cmd_verify,

@@ -80,8 +80,6 @@ class Cos:
     scale: object
 
 
-FieldExpr = (Const, Var, Add, Sub, Mul, Pow, Neg, Exp, Sin, Cos)
-
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _WORDS = ("exp", "sin", "cos", "i", "x")
 _ATOM_EXPECTED = ("number", "'x'", "'i'", "'exp'", "'sin'", "'cos'", "'('")
@@ -231,7 +229,7 @@ def _describe(tok):
 
 
 def parse(text):
-    """Parse an expression string into a FieldExpr tree."""
+    """Parse an expression string into an expression tree."""
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
     tok = parser.peek()
@@ -263,24 +261,25 @@ def _poly(node):
         left, right = _poly(node.left), _poly(node.right)
         if left is None or right is None:
             return None
-        out = [Fraction(0)] * (len(left) + len(right) - 1)
-        for ii, a in enumerate(left):
-            for jj, b in enumerate(right):
-                out[ii + jj] = out[ii + jj] + a * b
-        return out
+        return _poly_mul(left, right)
     if isinstance(node, Pow):
         base = _poly(node.base)
         if base is None:
             return None
         out = [Fraction(1)]
         for _ in range(node.exponent):
-            new = [Fraction(0)] * (len(out) + len(base) - 1)
-            for ii, a in enumerate(out):
-                for jj, b in enumerate(base):
-                    new[ii + jj] = new[ii + jj] + a * b
-            out = new
+            out = _poly_mul(out, base)
         return out
     return None
+
+
+def _poly_mul(left, right):
+    """Schoolbook product of ordinary coefficient lists."""
+    out = [Fraction(0)] * (len(left) + len(right) - 1)
+    for ii, a in enumerate(left):
+        for jj, b in enumerate(right):
+            out[ii + jj] = out[ii + jj] + a * b
+    return out
 
 
 def _trimmed(coeffs):
@@ -342,47 +341,27 @@ def elaborate(node, order, domain=Domain.RATIONAL):
     if isinstance(node, Exp):
         return HurwitzSeries.exp(_scalar_series(node.scale, order, domain), order, domain)
     if isinstance(node, Sin):
-        a = _scalar_series(node.scale, order, domain)
-        coeffs = []
-        power = domain.one()
-        for k in range(order + 1):
-            if k % 2 == 0:
-                coeffs.append(domain.zero())
-            else:
-                sign = -1 if (k - 1) // 2 % 2 else 1
-                coeffs.append(sign * power)
-            power = power * a
-        return HurwitzSeries(coeffs, domain)
+        return _trig_series(node.scale, (0, 1, 0, -1), order, domain)
     if isinstance(node, Cos):
-        a = _scalar_series(node.scale, order, domain)
-        coeffs = []
-        power = domain.one()
-        for k in range(order + 1):
-            if k % 2 == 1:
-                coeffs.append(domain.zero())
-            else:
-                sign = -1 if k // 2 % 2 else 1
-                coeffs.append(sign * power)
-            power = power * a
-        return HurwitzSeries(coeffs, domain)
+        return _trig_series(node.scale, (1, 0, -1, 0), order, domain)
     raise TypeError(f"not a field expression: {node!r}")
+
+
+def _trig_series(scale, signs, order, domain):
+    """Hurwitz coefficients signs[k % 4] * scale**k of sin or cos(scale x)."""
+    a = _scalar_series(scale, order, domain)
+    coeffs = []
+    power = domain.one()
+    for k in range(order + 1):
+        sign = signs[k % 4]
+        coeffs.append(sign * power if sign else domain.zero())
+        power = power * a
+    return HurwitzSeries(coeffs, domain)
 
 
 def series_from_text(text, order, domain=Domain.RATIONAL):
     """Parse and elaborate in one step."""
     return elaborate(parse(text), order, domain)
-
-
-def contains_transcendental(node):
-    if isinstance(node, (Exp, Sin, Cos)):
-        return True
-    if isinstance(node, (Add, Sub, Mul)):
-        return contains_transcendental(node.left) or contains_transcendental(node.right)
-    if isinstance(node, Neg):
-        return contains_transcendental(node.child)
-    if isinstance(node, Pow):
-        return contains_transcendental(node.base)
-    return False
 
 
 _PREC_ADD = 1

@@ -1,7 +1,9 @@
 """Truncated flow series of y' = f(y), their ring, and closed forms.
 
-A flow series wraps the coefficient sequence of a field: the value at
-time t is sum A_n(x) t^n/n! with A_0 = x, so every flow fixes x at t = 0.
+A flow is the coefficient sequence of a field read as an exponential
+generating series in t: the value at time t is sum A_n(x) t^n/n! with
+A_0 = x, so every flow fixes x at t = 0.  Flows are therefore
+AutonomousSequence values (FlowSeries is another name for that type).
 Flows add and multiply through their generating fields, with units x
 (field 0) and x + t (field 1).
 
@@ -11,8 +13,8 @@ Substituting one flow into another is a Horner loop over the outer
 series; a composition coefficient at outer degree p is honest only to
 x-order K - p when the outer series is truncated at K (each degree in
 the new variable consumes one x-order of the outer series), and the code
-clamps to that bound.  Comparisons run over indices both sides honestly
-know, never over fabricated tails.
+clamps to that bound.  Comparisons go through HurwitzSeries.agrees_with,
+over the indices both sides honestly know, never over fabricated tails.
 """
 
 from __future__ import annotations
@@ -39,88 +41,27 @@ from .hurwitz import HurwitzSeries, add_truncating, mul_truncating
 from .scalars import GaussianRational, format_scalar, parse_scalar
 
 
-class FlowSeries:
-    """Truncated series solution of y' = f(y), y(0) = x."""
-
-    __slots__ = ("source",)
-
-    def __init__(self, source):
-        self.source = source
-
-    @property
-    def field(self):
-        return self.source.field
-
-    @property
-    def tcoeffs(self):
-        return self.source.terms
-
-    @property
-    def order_t(self):
-        return self.source.order_t
-
-    @property
-    def domain(self):
-        return self.source.domain
-
-    def __eq__(self, other):
-        if not isinstance(other, FlowSeries):
-            return NotImplemented
-        return self.source == other.source
-
-    def __hash__(self):
-        return hash(self.source)
-
-    def __repr__(self):
-        return f"FlowSeries[M={self.order_t}, field order {self.field.order}]"
-
-    def eval_at(self, t, x):
-        """Numeric sum of A_n(x) t^n/n! over the known t-orders."""
-        acc = 0.0
-        tpow = 1.0
-        fact = 1
-        for n, term in enumerate(self.tcoeffs):
-            if n > 0:
-                tpow *= t
-                fact *= n
-            acc = acc + term.eval_at(x) * (tpow / fact)
-        return acc
-
-    def to_json_dict(self):
-        return {
-            "field": self.field.to_json_dict(),
-            "orderT": self.order_t,
-            "tcoeffs": [t.to_json_dict() for t in self.tcoeffs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload):
-        field = HurwitzSeries.from_json_dict(payload["field"])
-        terms = [HurwitzSeries.from_json_dict(t) for t in payload["tcoeffs"]]
-        seq = AutonomousSequence(field, terms)
-        if seq.order_t != payload["orderT"]:
-            raise OutOfRangeError("orderT does not match the number of tcoeffs")
-        return cls(seq)
+FlowSeries = AutonomousSequence
 
 
 def flow_series(field, order_t):
     """The flow of a field, to t-order M (needs field order >= M)."""
-    return FlowSeries(autonomous_sequence(field, order_t))
+    return autonomous_sequence(field, order_t)
 
 
 def flow_boxplus(a, b):
     """Flow of the sum field; unit is the flow of 0, which is x."""
-    return FlowSeries(box_plus(a.source, b.source))
+    return box_plus(a, b)
 
 
 def flow_boxdot(a, b):
     """Flow of the product field; unit is the flow of 1, which is x + t."""
-    return FlowSeries(box_dot(a.source, b.source))
+    return box_dot(a, b)
 
 
 def time_scale(flow, value):
     """Flow of the scaled field: t-coefficient n picks up value**n."""
-    return FlowSeries(scalar_action(value, flow.source))
+    return scalar_action(value, flow)
 
 
 @dataclass(frozen=True)
@@ -199,10 +140,7 @@ def semigroup_check(field, order_t):
     for q in range(order_t + 1):
         comp = _compose(seq.terms[q], inner, order_t - q)
         for p in range(order_t - q + 1):
-            lhs = comp[p]
-            rhs = seq.terms[p + q]
-            m = min(lhs.order, rhs.order)
-            if lhs.truncate(m) != rhs.truncate(m):
+            if not comp[p].agrees_with(seq.terms[p + q]):
                 return CheckReport(False, (p, q), f"mismatch at s^{p} t^{q}")
     return CheckReport(True)
 
@@ -221,16 +159,11 @@ def derivation_identity_check(field, order_t):
     seq = autonomous_sequence(field, order_t)
     for n in range(order_t):
         lhs = mul_truncating(field, seq.terms[n].derivative())
-        rhs = seq.terms[n + 1]
-        m = min(lhs.order, rhs.order)
-        if lhs.truncate(m) != rhs.truncate(m):
+        if not lhs.agrees_with(seq.terms[n + 1]):
             return CheckReport(False, (n, "x-derivative"), f"f*d(A_{n}) != A_{n + 1}")
     comp = _compose(field, list(seq.terms), order_t - 1)
     for n in range(order_t):
-        lhs = comp[n]
-        rhs = seq.terms[n + 1]
-        m = min(lhs.order, rhs.order)
-        if lhs.truncate(m) != rhs.truncate(m):
+        if not comp[n].agrees_with(seq.terms[n + 1]):
             return CheckReport(False, (n, "composition"), f"(f o Phi)_{n} != A_{n + 1}")
     return CheckReport(True)
 
@@ -440,7 +373,7 @@ def classify_point(field, x0):
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    combined: FlowSeries
+    combined: AutonomousSequence
     components: tuple
     matches_direct: bool
 

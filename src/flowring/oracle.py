@@ -93,8 +93,8 @@ def rk4_solve(field, x0, t1, steps=256):
 def fd_flow_derivative_check(flow_like, field, t0, x0, h=1e-4):
     """Central-difference residual |dPhi/dt - field(Phi)| at (t0, x0).
 
-    flow_like is either a FlowSeries or a ClosedFormFlow; the field is
-    an expression tree evaluated pointwise.
+    flow_like is either an AutonomousSequence (a flow) or a
+    ClosedFormFlow; the field is an expression tree evaluated pointwise.
     """
     if not 1e-6 <= h <= 1e-3:
         raise OutOfRangeError("finite-difference step must lie in [1e-6, 1e-3]")

@@ -132,9 +132,6 @@ class GaussianRational:
         return self.re * self.re + self.im * self.im
 
 
-I = GaussianRational(0, 1)
-
-
 class Domain(Enum):
     """Tag selecting the coefficient field of a computation."""
 
@@ -165,13 +162,6 @@ class Domain(Enum):
         if isinstance(value, _RationalABC):
             return Domain.RATIONAL
         raise DomainMismatchError(f"{value!r} is not an exact scalar")
-
-
-def to_complex(value):
-    """Double-precision complex view of an exact scalar."""
-    if isinstance(value, GaussianRational):
-        return complex(value)
-    return complex(float(value), 0.0)
 
 
 _RAT = r"-?\d+(?:/\d+)?"

@@ -368,7 +368,7 @@ def time_scale_identity(rng, fields=20, order_t=8, order=16):
             if scaled != flow_series(f.scale(a), order_t):
                 return _fail(name, f"time scale by {a} broke on field {i}")
             for n in range(order_t + 1):
-                if scaled.tcoeffs[n] != flow.tcoeffs[n].scale(a ** n):
+                if scaled.terms[n] != flow.terms[n].scale(a ** n):
                     return _fail(name, f"tcoeff {n} not scaled by {a}^{n}")
     return _ok(name, f"{fields} fields, scalars {tuple(str(s) for s in scalars)}")
 
@@ -455,7 +455,7 @@ def inverse_pair_flows(rng, count=10, order_t=8, order=16):
         u = random_unit_series(rng, order)
         if flow_series(u * u.inverse(), order_t) != x_plus_t:
             return _fail(name, f"flow of u * u^-1 is not x + t on sample {i}")
-    if x_plus_t.tcoeffs[1] != HurwitzSeries.constant(1, order):
+    if x_plus_t.terms[1] != HurwitzSeries.constant(1, order):
         return _fail(name, "the unit flow does not read x + t")
     return _ok(name, f"{count} unit series, M={order_t}")
 
@@ -515,11 +515,11 @@ def example_exp_sin(order_t=8, order=16):
     if result.combined.field != target:
         return _fail(name, "the three component fields do not sum to exp(x)+sin(x)")
     rational = flow_series(series_from_text("exp(x)+sin(x)", order), order_t)
-    for n, term in enumerate(result.combined.tcoeffs):
+    for n, term in enumerate(result.combined.terms):
         for k, c in enumerate(term.coeffs):
             if c.im != 0:
                 return _fail(name, f"imaginary residue at term {n}, index {k}")
-            if c.re != rational.tcoeffs[n].coeffs[k]:
+            if c.re != rational.terms[n].coeffs[k]:
                 return _fail(name, f"real part differs at term {n}, index {k}")
     return _ok(name, f"three-part gaussian sum matches the rational flow, M={order_t}")
 

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
+from flowring.autonomous import AutonomousSequence
 from flowring.cli import main
 from flowring.expr import series_from_text
-from flowring.flow import FlowSeries, flow_series
+from flowring.flow import flow_series
 
 
 def run_cli(*argv):
@@ -74,7 +75,11 @@ def test_flow_json_round_trips_bit_exactly():
     from flowring.scalars import Domain
 
     reference = flow_series(series_from_text("exp(i*x)", 8, Domain.GAUSSIAN), 4)
-    assert FlowSeries.from_json_dict(payload) == reference
+    assert list(payload) == ["field", "orderT", "tcoeffs"]
+    assert payload["tcoeffs"] == reference.to_json_dict()["terms"]
+    as_sequence = {"field": payload["field"], "orderT": payload["orderT"],
+                   "terms": payload["tcoeffs"]}
+    assert AutonomousSequence.from_json_dict(as_sequence) == reference
 
 
 def test_eval_reports_closed_form_and_rk4():

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from flowring import flow as flow_module
+from flowring.autonomous import AutonomousSequence, autonomous_sequence
 from flowring.errors import ClosedFormDomainError, OrderExhaustedError, OutOfRangeError
 from flowring.expr import parse, series_from_text
 from flowring.flow import (
     ClosedFormFlow,
     FlowKind,
-    FlowSeries,
     PointKind,
     classify_point,
     closed_form_eval,
@@ -31,21 +32,21 @@ from flowring.verify import random_polynomial_series
 
 def test_flow_of_constant_is_x_plus_t():
     flow = flow_series(HurwitzSeries.constant(1, 8), 4)
-    assert flow.tcoeffs[0] == HurwitzSeries.x(8)
-    assert flow.tcoeffs[1] == HurwitzSeries.constant(1, 8)
-    assert all(t.is_zero() for t in flow.tcoeffs[2:])
+    assert flow.terms[0] == HurwitzSeries.x(8)
+    assert flow.terms[1] == HurwitzSeries.constant(1, 8)
+    assert all(t.is_zero() for t in flow.terms[2:])
 
 
 def test_flow_of_identity_field():
     flow = flow_series(series_from_text("x", 8), 5)
-    for term in flow.tcoeffs:
+    for term in flow.terms:
         assert term == HurwitzSeries.x(8).truncate(term.order)
 
 
 def test_flow_of_square_field_matches_geometric_expansion():
     flow = flow_series(series_from_text("x^2", 10), 5)
     for n in range(1, 6):
-        term = flow.tcoeffs[n]
+        term = flow.terms[n]
         expected = [Fraction(0)] * (term.order + 1)
         expected[n + 1] = Fraction(math.factorial(n) * math.factorial(n + 1))
         assert term.coeffs == tuple(expected)
@@ -55,7 +56,7 @@ def test_flow_starts_at_x():
     rng = random.Random(31)
     for _ in range(5):
         f = random_polynomial_series(rng, 10, 3)
-        assert flow_series(f, 4).tcoeffs[0] == HurwitzSeries.x(10)
+        assert flow_series(f, 4).terms[0] == HurwitzSeries.x(10)
 
 
 def test_semigroup_check_examples():
@@ -82,10 +83,10 @@ def test_time_scale_examples():
     f = series_from_text("x", 8)
     flow = flow_series(f, 5)
     frozen = time_scale(flow, 0)
-    assert all(t.is_zero() for t in frozen.tcoeffs[1:])
+    assert all(t.is_zero() for t in frozen.terms[1:])
     reversed_flow = time_scale(flow, -1)
-    for n, term in enumerate(reversed_flow.tcoeffs):
-        assert term == flow.tcoeffs[n].scale((-1) ** n)
+    for n, term in enumerate(reversed_flow.terms):
+        assert term == flow.terms[n].scale((-1) ** n)
     assert time_scale(flow, 2) == flow_series(f.scale(2), 5)
 
 
@@ -125,7 +126,6 @@ def test_flow_combination_check():
 def test_semigroup_machinery_detects_corruption():
     # guard against the check comparing nothing: a corrupted time-series
     # coefficient must break the composition identity
-    from flowring.autonomous import autonomous_sequence
     from flowring.flow import _compose
 
     f = series_from_text("x^2", 12)
@@ -137,14 +137,45 @@ def test_semigroup_machinery_detects_corruption():
     comp = _compose(seq.terms[1], inner, 3)
     mismatched = False
     for p in range(1, 4):
-        m = min(comp[p].order, seq.terms[p + 1].order)
-        if comp[p].truncate(m) != seq.terms[p + 1].truncate(m):
+        if not comp[p].agrees_with(seq.terms[p + 1]):
             mismatched = True
     assert mismatched
 
 
+def _perturb_second_term(monkeypatch):
+    """Make the checks see the true sequence with one coefficient of A_2 off by one."""
+    true_sequence = flow_module.autonomous_sequence
+
+    def perturbed(field, order_t):
+        seq = true_sequence(field, order_t)
+        coeffs = list(seq.terms[2].coeffs)
+        coeffs[1] += 1
+        terms = list(seq.terms)
+        terms[2] = HurwitzSeries(coeffs, seq.domain)
+        return AutonomousSequence(seq.field, terms)
+
+    monkeypatch.setattr(flow_module, "autonomous_sequence", perturbed)
+
+
+def test_semigroup_check_fails_on_a_perturbed_term(monkeypatch):
+    f = series_from_text("1+x^2", 12)
+    assert semigroup_check(f, 4).passed
+    _perturb_second_term(monkeypatch)
+    report = semigroup_check(f, 4)
+    assert not report.passed
+    assert report.first_failure == (1, 1)
+
+
+def test_derivation_check_fails_on_a_perturbed_term(monkeypatch):
+    f = series_from_text("1+x^2", 8)
+    assert derivation_identity_check(f, 4).passed
+    _perturb_second_term(monkeypatch)
+    report = derivation_identity_check(f, 4)
+    assert not report.passed
+    assert report.first_failure == (1, "x-derivative")
+
+
 def test_composition_coefficients_have_honest_orders():
-    from flowring.autonomous import autonomous_sequence
     from flowring.flow import _compose
 
     f = series_from_text("1+x^2", 12)
@@ -244,7 +275,7 @@ def test_classify_point_examples():
 def test_equilibrium_orbit_is_constant():
     f = series_from_text("1-x", 8)
     flow = flow_series(f, 5)
-    for term in flow.tcoeffs[1:]:
+    for term in flow.terms[1:]:
         assert term.eval_exact(1) == 0
 
 
@@ -271,10 +302,12 @@ def test_decompose_flow_examples():
 
 
 def test_flow_json_round_trip():
-    flow = flow_series(series_from_text("exp(i*x)", 8, Domain.GAUSSIAN), 4)
+    f = series_from_text("exp(i*x)", 8, Domain.GAUSSIAN)
+    flow = flow_series(f, 4)
+    assert flow == autonomous_sequence(f, 4)
     payload = json.loads(json.dumps(flow.to_json_dict()))
-    assert FlowSeries.from_json_dict(payload) == flow
-    assert payload["tcoeffs"][0]["coeffs"][1] == "1"
+    assert AutonomousSequence.from_json_dict(payload) == flow
+    assert payload["terms"][0]["coeffs"][1] == "1"
 
 
 def test_closed_form_json_round_trip():
