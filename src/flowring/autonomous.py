@@ -113,9 +113,10 @@ def autonomous_sequence_bell(f, order_t):
 
     Term n+1 collects, over every partition of n, the integer partition
     weight times the product of earlier terms A_m (one factor per part of
-    size m) times the k-th derivative of f, k the partition length.  The
-    factors carry different honest orders, so products trim pairwise and
-    the final sum trims to the common order N - n.
+    size m) times the k-th derivative of f, k the partition length.  Every
+    factor is first truncated to A_{n+1}'s honest order N - n; nothing is
+    lost, since coefficient i of a product reads only coefficients <= i of
+    its factors.
     """
     _check_depth(f, order_t)
     derivs = [f]
@@ -123,21 +124,16 @@ def autonomous_sequence_bell(f, order_t):
         derivs.append(derivs[-1].derivative())
     terms = [HurwitzSeries.x(f.order, f.domain), f]
     for n in range(1, order_t):
-        monomials = []
+        order = f.order - n
+        low = [t.truncate(order) for t in terms]
+        acc = None
         for j in iter_partitions(n):
-            k = sum(j)
-            factors = [derivs[k]]
+            prod = derivs[sum(j)].truncate(order)
             for m, jm in enumerate(j, start=1):
-                factors.extend([terms[m]] * jm)
-            factors.sort(key=lambda s: s.order)
-            prod = factors[0]
-            for factor in factors[1:]:
-                prod = mul_truncating(prod, factor)
-            monomials.append(prod.scale(partition_weight(j)))
-        order = min(m.order for m in monomials)
-        acc = HurwitzSeries.zeros(order, f.domain)
-        for m in monomials:
-            acc = acc + m.truncate(order)
+                for _ in range(jm):
+                    prod = prod * low[m]
+            monomial = prod.scale(partition_weight(j))
+            acc = monomial if acc is None else acc + monomial
         terms.append(acc)
     return AutonomousSequence(f, terms)
 
@@ -156,14 +152,9 @@ def box_dot(a, b):
 
 def scalar_action(value, seq):
     """Scale term n by value**n; equals the sequence of the scaled field."""
-    domain = seq.domain
-    value = domain.coerce(value)
-    terms = [seq.terms[0]]
-    power = domain.one()
-    for term in seq.terms[1:]:
-        power = power * value
-        terms.append(term.scale(power))
-    return AutonomousSequence(seq.field.scale(value), terms)
+    powers = HurwitzSeries.exp(value, seq.order_t, seq.domain).coeffs
+    terms = [term.scale(p) for term, p in zip(seq.terms[1:], powers[1:])]
+    return AutonomousSequence(seq.field.scale(value), [seq.terms[0], *terms])
 
 
 @dataclass(frozen=True)

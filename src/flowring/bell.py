@@ -9,7 +9,8 @@ Bell polynomial is
 
 and the combined integer weight n! / prod_m (j_m! * (m!)^(j_m)) is used
 directly, so evaluation stays exact over any commutative coefficient
-ring.  The full polynomial is Y_n(b; a) = sum_k B_{n,k}(b) a_k.
+ring.  The full polynomial Y_n(b; a) = sum_k B_{n,k}(b) a_k takes one walk
+over the partitions of n, a partition of length k = sum j_m weighting a_k.
 """
 
 from __future__ import annotations
@@ -79,13 +80,16 @@ def partial_bell(n, k, b):
 
 
 def bell_polynomial(n, b, a):
-    """Exact Y_n(b_1..b_n; a_1..a_n) = sum_k B_{n,k}(b) a_k."""
+    """Exact Y_n(b_1..b_n; a_1..a_n) = sum_k B_{n,k}(b) a_k, in one partition walk."""
     if n < 1:
         raise OutOfRangeError("bell_polynomial needs n >= 1")
     if len(a) < n or len(b) < n:
         raise OutOfRangeError(f"bell_polynomial({n}) needs {n} a- and b-arguments")
     acc = None
-    for k in range(1, n + 1):
-        term = partial_bell(n, k, b) * a[k - 1]
+    for j in iter_partitions(n):
+        term = partition_weight(j) * a[sum(j) - 1]
+        for m, jm in enumerate(j, start=1):
+            if jm:
+                term = term * b[m - 1] ** jm
         acc = term if acc is None else acc + term
     return acc

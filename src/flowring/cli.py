@@ -74,7 +74,8 @@ def _build_parser():
     )
 
     def common(p, with_order_t=True):
-        p.add_argument("--field", required=True, help="vector field expression")
+        p.add_argument("--field", required=True,
+                       help="vector field expression; write --field=-x when it starts with '-'")
         p.add_argument("--order-x", type=int, default=16, dest="order_x")
         if with_order_t:
             p.add_argument("--order-t", type=int, default=12, dest="order_t")
@@ -92,7 +93,8 @@ def _build_parser():
 
     p_dec = sub.add_parser("decompose", help="combine the flows of several parts")
     p_dec.add_argument("--mode", choices=["sum", "product"], required=True)
-    p_dec.add_argument("--part", action="append", required=True, dest="parts")
+    p_dec.add_argument("--part", action="append", required=True, dest="parts",
+                       help="one part of the field; write --part=-x when it starts with '-'")
     p_dec.add_argument("--order-x", type=int, default=16, dest="order_x")
     p_dec.add_argument("--order-t", type=int, default=12, dest="order_t")
     p_dec.add_argument("--domain", choices=["rational", "gaussian"], default="rational")

@@ -20,10 +20,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
 
 from .errors import DomainRequiredError, ParseError, UnsupportedArgumentError
-from .hurwitz import HurwitzSeries
-from .scalars import Domain, GaussianRational, format_scalar
+from .hurwitz import HurwitzSeries, power_truncating
+from .scalars import Domain, GaussianRational, format_scalar, power
 
 
 @dataclass(frozen=True)
@@ -266,17 +267,16 @@ def _poly(node):
         base = _poly(node.base)
         if base is None:
             return None
-        out = [Fraction(1)]
-        for _ in range(node.exponent):
-            out = _poly_mul(out, base)
-        return out
+        return power(base, node.exponent, [Fraction(1)], _poly_mul)
     return None
 
 
 def _poly_mul(left, right):
-    """Schoolbook product of ordinary coefficient lists."""
+    """Schoolbook product of ordinary coefficient lists, skipping zero left entries."""
     out = [Fraction(0)] * (len(left) + len(right) - 1)
     for ii, a in enumerate(left):
+        if not a:
+            continue
         for jj, b in enumerate(right):
             out[ii + jj] = out[ii + jj] + a * b
     return out
@@ -333,11 +333,7 @@ def elaborate(node, order, domain=Domain.RATIONAL):
     if isinstance(node, Neg):
         return -elaborate(node.child, order, domain)
     if isinstance(node, Pow):
-        base = elaborate(node.base, order, domain)
-        acc = HurwitzSeries.constant(1, order, domain)
-        for _ in range(node.exponent):
-            acc = acc * base
-        return acc
+        return power_truncating(elaborate(node.base, order, domain), node.exponent)
     if isinstance(node, Exp):
         return HurwitzSeries.exp(_scalar_series(node.scale, order, domain), order, domain)
     if isinstance(node, Sin):
@@ -349,13 +345,8 @@ def elaborate(node, order, domain=Domain.RATIONAL):
 
 def _trig_series(scale, signs, order, domain):
     """Hurwitz coefficients signs[k % 4] * scale**k of sin or cos(scale x)."""
-    a = _scalar_series(scale, order, domain)
-    coeffs = []
-    power = domain.one()
-    for k in range(order + 1):
-        sign = signs[k % 4]
-        coeffs.append(sign * power if sign else domain.zero())
-        power = power * a
+    powers = HurwitzSeries.exp(_scalar_series(scale, order, domain), order, domain).coeffs
+    coeffs = [sign * p if sign else domain.zero() for sign, p in zip(cycle(signs), powers)]
     return HurwitzSeries(coeffs, domain)
 
 

@@ -15,7 +15,8 @@ numerators over the lcm of its denominators (a Gaussian series scales its
 real and imaginary numerators over one shared denominator), the binomial
 convolution runs on plain ints with binomials read from a module-level
 table of Pascal rows, and each output coefficient becomes exactly one
-normalised ``Fraction``.  Results are the same canonical values the
+normalised ``Fraction``.  A Gaussian ``inverse`` goes through the
+rational one by conjugation.  Results are the same canonical values the
 scalar arithmetic would give.
 """
 
@@ -33,7 +34,7 @@ from .errors import (
     OrderMismatchError,
     OutOfRangeError,
 )
-from .scalars import Domain, GaussianRational, format_scalar, parse_scalar
+from .scalars import Domain, GaussianRational, format_scalar, parse_scalar, power
 
 
 _ROWS = [(1,)]
@@ -276,50 +277,27 @@ class HurwitzSeries:
         With a_k = A_k / D and c = A_0, the inverse is b_n = D P_n / c^(n+1)
         where P_0 = 1 and P_n = -sum_{h=1..n} C(n, h) A_h P_{n-h} c^(h-1),
         the recurrence b_n = -(1/a_0) sum C(n, h) a_h b_{n-h} cleared of
-        denominators.  Every P_n is an integer (a Gaussian integer in the
-        Gaussian domain), so each coefficient costs a single division.
+        denominators.  Every P_n is an integer, so each coefficient costs a
+        single division.  A Gaussian a is inverted as conj(a) (a conj(a))^-1:
+        coefficientwise conjugation is a ring automorphism of ``*``, so
+        a conj(a) is rational with leading coefficient |a_0|^2 != 0.
         """
         if not self.coeffs[0]:
             raise NotAUnitError("leading coefficient is zero; no inverse under *")
+        if self.domain is Domain.GAUSSIAN:
+            conj = HurwitzSeries([c.conjugate() for c in self.coeffs], self.domain)
+            real = (self * conj).to_domain(Domain.RATIONAL)
+            return conj * real.inverse().to_domain(self.domain)
         rows = binomial_rows(self.order)
-        parts, d = _integer_parts(self)
-        if self.domain is Domain.RATIONAL:
-            (a,) = parts
-            c = a[0]
-            ac = [a[h] * c ** (h - 1) for h in range(1, len(a))]  # A_h c^(h-1)
-            p = [1]
-            for n in range(1, len(a)):
-                p.append(-_dot(rows[n][1:], ac, p[::-1]))
-            return HurwitzSeries(
-                [Fraction(d * pn, c ** (n + 1)) for n, pn in enumerate(p)], self.domain
-            )
-        a_re, a_im = parts
-        c_re, c_im = a_re[0], a_im[0]
-        ac_re, ac_im = [], []  # A_h c^(h-1)
-        w_re, w_im = 1, 0
-        for h in range(1, len(a_re)):
-            ac_re.append(a_re[h] * w_re - a_im[h] * w_im)
-            ac_im.append(a_re[h] * w_im + a_im[h] * w_re)
-            w_re, w_im = w_re * c_re - w_im * c_im, w_re * c_im + w_im * c_re
-        p_re, p_im = [1], [0]
-        for n in range(1, len(a_re)):
-            row = rows[n][1:]
-            re_rev, im_rev = p_re[::-1], p_im[::-1]
-            p_re.append(_dot(row, ac_im, im_rev) - _dot(row, ac_re, re_rev))
-            p_im.append(-_dot(row, ac_re, im_rev) - _dot(row, ac_im, re_rev))
-        # 1 / c^(n+1) = conj(c)^(n+1) / |c|^(2(n+1))
-        norm = c_re * c_re + c_im * c_im
-        out = []
-        q_re, q_im, q_norm = c_re, -c_im, norm
-        for pr, pi in zip(p_re, p_im):
-            out.append(
-                GaussianRational(
-                    Fraction(d * (pr * q_re - pi * q_im), q_norm),
-                    Fraction(d * (pr * q_im + pi * q_re), q_norm),
-                )
-            )
-            q_re, q_im, q_norm = q_re * c_re + q_im * c_im, q_im * c_re - q_re * c_im, q_norm * norm
-        return HurwitzSeries(out, self.domain)
+        (a,), d = _integer_parts(self)
+        c = a[0]
+        ac = [a[h] * c ** (h - 1) for h in range(1, len(a))]  # A_h c^(h-1)
+        p = [1]
+        for n in range(1, len(a)):
+            p.append(-_dot(rows[n][1:], ac, p[::-1]))
+        return HurwitzSeries(
+            [Fraction(d * pn, c ** (n + 1)) for n, pn in enumerate(p)], self.domain
+        )
 
     def derivative(self):
         """Left shift (a_{n+1}); the order shrinks by one."""
@@ -387,15 +365,13 @@ class HurwitzSeries:
 
     def eval_exact(self, point):
         """Exact value sum a_n point^n / n! of the truncated polynomial."""
-        point = self.domain.coerce(point)
+        powers = HurwitzSeries.exp(point, self.order, self.domain).coeffs
         acc = self.domain.zero()
-        power = self.domain.one()
         fact = 1
-        for k, c in enumerate(self.coeffs):
+        for k, (c, p) in enumerate(zip(self.coeffs, powers)):
             if k > 0:
-                power = power * point
                 fact *= k
-            acc = acc + c * power / fact
+            acc = acc + c * p / fact
         return acc
 
     # -- serialization ---------------------------------------------------
@@ -431,12 +407,8 @@ def add_truncating(a, b):
 
 
 def power_truncating(series, exponent):
-    """exponent-fold truncating product; exponent 0 gives the unit e."""
+    """exponent-fold product by repeated squaring; exponent 0 gives the unit e."""
     if exponent < 0:
         raise OutOfRangeError("series powers need a non-negative exponent")
-    if exponent == 0:
-        return HurwitzSeries.constant(1, series.order, series.domain)
-    acc = series
-    for _ in range(exponent - 1):
-        acc = mul_truncating(acc, series)
-    return acc
+    one = HurwitzSeries.constant(1, series.order, series.domain)
+    return power(series, exponent, one, mul_truncating)

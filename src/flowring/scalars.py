@@ -4,17 +4,34 @@ Plain rationals are stdlib ``fractions.Fraction`` values, which already
 keep the canonical form relied on everywhere else (reduced fraction,
 positive denominator, arbitrary precision integers).  ``GaussianRational``
 adds the degree-two extension by the imaginary unit.  The textual scalar
-encoding used by the CLI and the JSON formats also lives here.
+encoding of the CLI and the JSON formats lives here too, as does ``power``,
+the repeated squaring behind every exact power in the package.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 
 from .errors import DomainMismatchError, DomainRequiredError, OutOfRangeError
+
+
+def power(base, exponent, one, mul=operator.mul):
+    """``base ** exponent`` under an associative ``mul``, by repeated squaring.
+
+    Exponent 0 returns ``one``, which is never multiplied in.
+    """
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul(base, base)
+    return one if result is None else result
 
 
 class GaussianRational:
@@ -91,15 +108,7 @@ class GaussianRational:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise OutOfRangeError("Gaussian rational powers need a non-negative integer exponent")
-        result = GaussianRational(1, 0)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, exponent, GaussianRational(1, 0))
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from flowring import bell
 from flowring.bell import (
     bell_polynomial,
+    iter_partitions,
     partial_bell,
     partition_weight,
     partitions,
 )
 from flowring.errors import OutOfRangeError
+from flowring.scalars import GaussianRational
 from flowring.verify import _count_set_partitions, bell_composition, random_fraction
 
 B = [Fraction(2), Fraction(-3), Fraction(5, 2), Fraction(7), Fraction(1, 3)]
@@ -92,3 +95,32 @@ def test_partial_bell_scales_by_ck(n, data):
 def test_composition_against_polynomial_substitution():
     outcome = bell_composition(random.Random(17), pairs=6, order=10)
     assert outcome.passed, outcome.detail
+
+
+def test_bell_polynomial_walks_the_partitions_once(monkeypatch):
+    drawn = []
+
+    def counting(n):
+        for j in iter_partitions(n):
+            drawn.append(j)
+            yield j
+
+    monkeypatch.setattr(bell, "iter_partitions", counting)
+    b = [Fraction(m, 7) for m in range(1, 13)]
+    bell_polynomial(12, b, b[::-1])
+    assert len(drawn) == 77
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_bell_polynomial_equals_the_sum_of_partial_bells(gaussian):
+    rng = random.Random(23 + gaussian)
+
+    def draw():
+        value = random_fraction(rng)
+        return GaussianRational(value, random_fraction(rng)) if gaussian else value
+
+    for n in range(1, 11):
+        b = [draw() for _ in range(n)]
+        a = [draw() for _ in range(n)]
+        expected = sum(partial_bell(n, k, b) * a[k - 1] for k in range(1, n + 1))
+        assert bell_polynomial(n, b, a) == expected

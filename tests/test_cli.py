@@ -170,6 +170,19 @@ def test_exit_code_usage_errors():
     assert code == 3
     code, _, err = run_cli("bell-debug", "--n", "70", "--b", "1", "--a", "1")
     assert code == 3
+    code, _, err = run_cli("decompose", "--mode", "sum", "--part", "-x")
+    assert code == 3 and "expected one argument" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("series", "--field=-x"), ("flow", "--field=-x"), ("eval", "--field=-x"),
+    ("decompose", "--part=-x"),
+])
+def test_help_shows_how_to_pass_a_leading_minus(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert flag in " ".join(capsys.readouterr().out.split())
 
 
 def test_verify_command_passes():

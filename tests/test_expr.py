@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from flowring import expr
 from flowring.errors import DomainRequiredError, ParseError, UnsupportedArgumentError
 from flowring.expr import (
     Add,
@@ -186,3 +188,27 @@ def test_polynomial_coefficients():
 
 def test_pow_zero_is_one():
     assert series_from_text("x^0", 3) == HurwitzSeries.make([1, 0, 0, 0])
+
+
+def _counting(fn, bound):
+    """``fn`` wrapped to fail as soon as it is called more than ``bound`` times."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        assert len(calls) <= bound, f"more than {bound} calls"
+        return fn(*args)
+
+    return wrapper
+
+
+def test_elaborate_powers_by_repeated_squaring(monkeypatch):
+    bound = 2 * math.ceil(math.log2(300000))
+    monkeypatch.setattr(HurwitzSeries, "__mul__", _counting(HurwitzSeries.__mul__, bound))
+    assert elaborate(parse("x^300000"), 8) == HurwitzSeries.zeros(8)
+
+
+def test_polynomial_powers_by_repeated_squaring(monkeypatch):
+    bound = 2 * math.ceil(math.log2(3000))
+    monkeypatch.setattr(expr, "_poly_mul", _counting(expr._poly_mul, bound))
+    assert polynomial_coefficients(parse("x^3000")) == [0] * 3000 + [1]

@@ -14,6 +14,7 @@ from flowring.errors import (
     NotAUnitError,
     OrderExhaustedError,
     OrderMismatchError,
+    OutOfRangeError,
 )
 from flowring.hurwitz import (
     HurwitzSeries,
@@ -247,6 +248,8 @@ def test_truncating_helpers():
     assert add_truncating(a, b) == S(6, 8)
     assert power_truncating(b, 0) == HurwitzSeries.constant(1, 1)
     assert power_truncating(a, 2) == a * a
+    with pytest.raises(OutOfRangeError):
+        power_truncating(a, -1)
 
 
 def test_to_domain_round_trip():

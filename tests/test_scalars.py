@@ -1,17 +1,22 @@
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from flowring.errors import DomainMismatchError, DomainRequiredError, OutOfRangeError
-from flowring.hurwitz import binomial_rows
+from flowring.expr import _poly_mul
+from flowring.hurwitz import HurwitzSeries, binomial_rows
 from flowring.scalars import (
     Domain,
     GaussianRational,
     format_scalar,
     parse_scalar,
+    power,
 )
+from flowring.verify import random_series
 
 fractions = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -51,6 +56,44 @@ def test_gaussian_powers():
     assert i ** 3 == GaussianRational(0, -1)
     with pytest.raises(OutOfRangeError):
         i ** -1
+
+
+def _repeated(base, exponent, one, mul):
+    acc = one
+    for _ in range(exponent):
+        acc = mul(acc, base)
+    return acc
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(7)
+    g = Domain.GAUSSIAN
+    poly = [Fraction(0), Fraction(2, 3), Fraction(0), GaussianRational(0, 1)]
+    cases = [
+        (Fraction(-3, 2), Fraction(1), operator.mul),
+        (GaussianRational(Fraction(1, 2), -1), GaussianRational(1), operator.mul),
+        (random_series(rng, 6), HurwitzSeries.constant(1, 6), operator.mul),
+        (random_series(rng, 6, g), HurwitzSeries.constant(1, 6, g), operator.mul),
+        (poly, [Fraction(1)], _poly_mul),
+    ]
+    for base, one, mul in cases:
+        for exponent in range(41):
+            assert power(base, exponent, one, mul) == _repeated(base, exponent, one, mul)
+
+
+def test_power_squares_and_never_multiplies_by_one():
+    one = object()
+    for exponent in range(1, 300):
+        calls = []
+
+        def add(a, b):
+            assert a is not one and b is not one
+            calls.append((a, b))
+            return a + b
+
+        assert power(1, exponent, one, add) == exponent
+        assert len(calls) <= 2 * math.ceil(math.log2(exponent))
+    assert power(5, 0, one) is one
 
 
 @given(fractions, fractions, fractions)
