@@ -9,13 +9,14 @@ Bell polynomial is
 
 and the combined integer weight n! / prod_m (j_m! * (m!)^(j_m)) is used
 directly, so evaluation stays exact over any commutative coefficient
-ring.  The full polynomial Y_n(b; a) = sum_k B_{n,k}(b) a_k takes one walk
-over the partitions of n, a partition of length k = sum j_m weighting a_k.
+ring.  The full polynomial Y_n(b; a) = sum_k B_{n,k}(b) a_k comes from
+Comtet's recurrence on the B_{m,k} instead, in O(n^3) scalar products, so
+``bell_polynomial`` and ``partial_bell`` are two independent computations.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 
 from .errors import OutOfRangeError
 
@@ -80,16 +81,28 @@ def partial_bell(n, k, b):
 
 
 def bell_polynomial(n, b, a):
-    """Exact Y_n(b_1..b_n; a_1..a_n) = sum_k B_{n,k}(b) a_k, in one partition walk."""
+    """Exact Y_n(b_1..b_n; a_1..a_n) = sum_k B_{n,k}(b) a_k, by Comtet's recurrence.
+
+    B_{m,1} = b_m and B_{m,k} = sum_{i=1..m-k+1} C(m-1, i-1) b_i B_{m-i,k-1}
+    (Comtet, Advanced Combinatorics, 1974, 3.3): O(n^3) scalar products and
+    no partition, where ``partial_bell`` walks the partitions of n.
+    """
     if n < 1:
         raise OutOfRangeError("bell_polynomial needs n >= 1")
     if len(a) < n or len(b) < n:
         raise OutOfRangeError(f"bell_polynomial({n}) needs {n} a- and b-arguments")
-    acc = None
-    for j in iter_partitions(n):
-        term = partition_weight(j) * a[sum(j) - 1]
-        for m, jm in enumerate(j, start=1):
-            if jm:
-                term = term * b[m - 1] ** jm
-        acc = term if acc is None else acc + term
-    return acc
+    if n > MAX_PARTITION_SIZE:
+        raise OutOfRangeError(f"bell_polynomial({n}) is out of range 1..{MAX_PARTITION_SIZE}")
+    # table[m][k - 1] = B_{m,k} for 1 <= k <= m <= n
+    table = [()]
+    for m in range(1, n + 1):
+        row = [b[m - 1]]
+        for k in range(2, m + 1):
+            row.append(
+                sum(
+                    comb(m - 1, i - 1) * b[i - 1] * table[m - i][k - 2]
+                    for i in range(1, m - k + 2)
+                )
+            )
+        table.append(row)
+    return sum(bk * ak for bk, ak in zip(table[n], a))

@@ -9,12 +9,20 @@ Flows add and multiply through their generating fields, with units x
 
 The semigroup and derivation checks expand both sides of the respective
 identities as truncated bivariate series whose coefficients are x-series.
-Substituting one flow into another is a Horner loop over the outer
-series; a composition coefficient at outer degree p is honest only to
-x-order K - p when the outer series is truncated at K (each degree in
-the new variable consumes one x-order of the outer series), and the code
-clamps to that bound.  Comparisons go through HurwitzSeries.agrees_with,
-over the indices both sides honestly know, never over fabricated tails.
+Substituting a flow-like series Phi into an x-series is one integer-matrix
+kernel, ``_FlowPowers``.  Phi's entries are scaled once to integers over
+one common denominator D, and its powers Phi^k are formed once each, over
+D^k, by a 2-D binomial convolution on ints (the t-binomials from
+``hurwitz.binomial_rows``, the x-convolution by ``hurwitz._convolve_parts``).
+A composition outer(Phi) is then the linear combination of those powers
+with the ordinary coefficients of outer (Brent and Kung, JACM 1978), and
+``Fraction``s are built only for the rows handed back; the semigroup check
+forms the powers once and reuses them for every A_q.  A composition
+coefficient at t-degree p is honest only to x-order K - p when the outer
+series is truncated at K (each degree in t consumes one x-order of the
+outer series), and the kernel cuts every row to that bound.  Comparisons
+go through HurwitzSeries.agrees_with, over the indices both sides
+honestly know, never over fabricated tails.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 
 from .autonomous import (
     AutonomousSequence,
@@ -37,8 +46,15 @@ from .errors import (
     OutOfRangeError,
 )
 from .expr import Exp, polynomial_coefficients
-from .hurwitz import HurwitzSeries, add_truncating, mul_truncating
-from .scalars import GaussianRational, format_scalar, parse_scalar
+from .hurwitz import (
+    HurwitzSeries,
+    _convolve_parts,
+    _from_parts,
+    _integer_parts,
+    binomial_rows,
+    mul_truncating,
+)
+from .scalars import Domain, GaussianRational, format_scalar, parse_scalar
 
 
 FlowSeries = AutonomousSequence
@@ -76,51 +92,99 @@ class CheckReport:
         return self.passed
 
 
-def _mul_bivar(u, v, cap):
-    """Binomial convolution of coefficient lists in the outer variable.
+class _FlowPowers:
+    """Powers Phi^0, Phi^1, ... of a flow-like series, as integer matrices.
 
-    Coefficients are x-series of possibly different honest orders;
-    pairwise products trim to the shorter operand.
+    ``inner`` lists the x-series coefficients of t^p/p!.  Its entries are
+    scaled once to integers over their common denominator D, so Phi^k is
+    an integer matrix over D^k: row p is the part vector ([m], or [re, im]
+    in the Gaussian domain) of the coefficient of t^p/p!, cut to x-order
+    top - p, and rows stop at t-degree cap.  Powers are formed on demand,
+    Phi^k = Phi^(k-1) * Phi by the 2-D binomial convolution, and kept for
+    every later composition.
     """
-    comb = math.comb
-    out = []
-    top = min(len(u) + len(v) - 2, cap)
-    for p in range(top + 1):
-        acc = None
-        for p1 in range(max(0, p - len(v) + 1), min(p, len(u) - 1) + 1):
-            term = mul_truncating(u[p1], v[p - p1])
-            c = comb(p, p1)
-            if c != 1:
-                term = term.scale(c)
-            acc = term if acc is None else add_truncating(acc, term)
-        out.append(acc)
-    return out
+
+    def __init__(self, inner, cap, top):
+        self.domain = inner[0].domain
+        self.degree = len(inner) - 1
+        self.cap = min(cap, top)
+        self.top = top
+        # an x-coefficient at t-degree p is known to the smallest order of inner[0..p]
+        self.bounds = list(accumulate((s.order for s in inner), min))
+        rows = [s.coeffs[: top - p + 1] for p, s in enumerate(inner[: self.cap + 1])]
+        parts, self.d = _integer_parts([c for row in rows for c in row], self.domain)
+        starts = list(accumulate((len(row) for row in rows), initial=0))
+        phi = [[part[a:b] for part in parts] for a, b in zip(starts, starts[1:])]
+        unit = [[1] + [0] * (len(rows[0]) - 1)] + [[0] * len(rows[0])] * (len(parts) - 1)
+        self.powers = [[unit], phi]
+
+    def _times_phi(self, u):
+        """One more power: the binomial convolution u * Phi in t, then in x."""
+        v = self.powers[1]
+        pascal = binomial_rows(self.cap)
+        out = []
+        for p in range(min(len(u) + len(v) - 2, self.cap) + 1):
+            pairs = range(max(0, p - len(v) + 1), min(p, len(u) - 1) + 1)
+            n = min(self.top - p + 1, *(min(len(u[j][0]), len(v[p - j][0])) for j in pairs))
+            acc = None
+            for j in pairs:
+                c = pascal[p][j]
+                term = _convolve_parts([x[:n] for x in u[j]], [y[:n] for y in v[p - j]])
+                if acc is None:
+                    acc = [[c * t for t in part] for part in term] if c != 1 else term
+                else:
+                    acc = [[a + c * t for a, t in zip(ap, tp)] for ap, tp in zip(acc, term)]
+            out.append(acc)
+        return out
+
+    def compose(self, outer, cap):
+        """outer(Phi) as x-series coefficients of t^p/p!, p = 0..cap at most.
+
+        The sum over k of outer's ordinary coefficients times Phi^k.  Row p
+        is honest only to x-order outer.order - p (each degree in t
+        consumes one x-order of the outer series), and is cut there.
+        """
+        k_top = outer.order
+        rows = 1 + min(k_top * self.degree, cap)
+        if rows - 1 > min(self.cap, k_top):
+            raise OrderExhaustedError(
+                f"composing to t-degree {rows - 1} needs an outer order and a cap >= it"
+            )
+        weights, e = _integer_parts(outer.to_polynomial(), self.domain)
+        used = [k for k in range(k_top + 1) if any(w[k] for w in weights)]
+        last = used[-1] if used else 0
+        while len(self.powers) <= last:
+            self.powers.append(self._times_phi(self.powers[-1]))
+        scaled = [[w[k] * self.d ** (last - k) for w in weights] for k in used]
+        den = e * self.d**last
+        out = []
+        for p in range(rows):
+            n = min(k_top - p, self.bounds[min(p, self.degree)]) + 1
+            acc = [[0] * n for _ in weights]
+            for k, w in zip(used, scaled):
+                power = self.powers[k]
+                if p >= len(power):
+                    continue
+                if len(w) == 1:
+                    acc = [[a + w[0] * m for a, m in zip(acc[0], power[p][0])]]
+                else:
+                    u, v = w
+                    re, im = power[p]
+                    acc = [
+                        [a + u * r - v * i for a, r, i in zip(acc[0], re, im)],
+                        [b + u * i + v * r for b, r, i in zip(acc[1], re, im)],
+                    ]
+            out.append(HurwitzSeries(_from_parts(acc, den), self.domain))
+        return out
 
 
 def _compose(outer, inner, cap):
     """Substitute the flow-like series ``inner`` into the x-series ``outer``.
 
-    ``inner`` is a list of x-series, the coefficients of t^p/p!.  The
-    result is the same kind of list, of length cap + 1.  Horner over the
-    ordinary coefficients of ``outer``; degree p of the result is
-    clamped to x-order outer.order - p, applied early so intermediate
-    products stay small (the clamp is provably lossless for lower
-    indices).
+    ``inner`` lists the x-series coefficients of t^p/p!, and so does the
+    result, through t-degree min(cap, outer.order * (len(inner) - 1)).
     """
-    domain = outer.domain
-    budget = inner[0].order
-    k_top = outer.order
-    ordinary = outer.to_polynomial()
-    result = [HurwitzSeries.constant(ordinary[k_top], budget, domain)]
-    for j in range(k_top - 1, -1, -1):
-        result = _mul_bivar(result, inner, cap)
-        result[0] = add_truncating(
-            result[0], HurwitzSeries.constant(ordinary[j], budget, domain)
-        )
-        result = [
-            s.truncate(min(s.order, k_top - p)) for p, s in enumerate(result)
-        ]
-    return result
+    return _FlowPowers(inner, cap, outer.order).compose(outer, cap)
 
 
 def semigroup_check(field, order_t):
@@ -136,9 +200,9 @@ def semigroup_check(field, order_t):
             f"semigroup check at order {order_t} needs field order >= {2 * order_t}"
         )
     seq = autonomous_sequence(field, order_t)
-    inner = list(seq.terms)
+    powers = _FlowPowers(seq.terms, order_t, field.order)
     for q in range(order_t + 1):
-        comp = _compose(seq.terms[q], inner, order_t - q)
+        comp = powers.compose(seq.terms[q], order_t - q)
         for p in range(order_t - q + 1):
             if not comp[p].agrees_with(seq.terms[p + q]):
                 return CheckReport(False, (p, q), f"mismatch at s^{p} t^{q}")
@@ -161,7 +225,7 @@ def derivation_identity_check(field, order_t):
         lhs = mul_truncating(field, seq.terms[n].derivative())
         if not lhs.agrees_with(seq.terms[n + 1]):
             return CheckReport(False, (n, "x-derivative"), f"f*d(A_{n}) != A_{n + 1}")
-    comp = _compose(field, list(seq.terms), order_t - 1)
+    comp = _compose(field, seq.terms, order_t - 1)
     for n in range(order_t):
         if not comp[n].agrees_with(seq.terms[n + 1]):
             return CheckReport(False, (n, "composition"), f"(f o Phi)_{n} != A_{n + 1}")
@@ -352,19 +416,17 @@ def classify_point(field, x0):
     """
     from .oracle import eval_field  # local import keeps the oracle independent
 
-    if isinstance(field, HurwitzSeries):
-        value = field.eval_exact(x0)
-        kind = PointKind.EQUILIBRIUM if not value else PointKind.REGULAR
-        return OrbitPoint(x0, kind, True)
-    coeffs = polynomial_coefficients(field)
-    if coeffs is not None:
-        acc = Fraction(0)
-        point = Fraction(x0) if not isinstance(x0, GaussianRational) else x0
-        power = Fraction(1)
-        for c in coeffs:
-            acc = acc + c * power
-            power = power * point
-        kind = PointKind.EQUILIBRIUM if not acc else PointKind.REGULAR
+    series, point = field, x0
+    if not isinstance(field, HurwitzSeries):
+        coeffs = polynomial_coefficients(field)
+        series = None
+        if coeffs is not None:
+            point = x0 if isinstance(x0, GaussianRational) else Fraction(x0)
+            gaussian = any(isinstance(c, GaussianRational) for c in (point, *coeffs))
+            domain = Domain.GAUSSIAN if gaussian else Domain.RATIONAL
+            series = HurwitzSeries.from_polynomial(coeffs, len(coeffs) - 1, domain)
+    if series is not None:
+        kind = PointKind.EQUILIBRIUM if not series.eval_exact(point) else PointKind.REGULAR
         return OrbitPoint(x0, kind, True)
     value = eval_field(field, float(x0))
     kind = PointKind.EQUILIBRIUM if abs(value) <= EQUILIBRIUM_TOLERANCE else PointKind.REGULAR

@@ -15,9 +15,12 @@ numerators over the lcm of its denominators (a Gaussian series scales its
 real and imaginary numerators over one shared denominator), the binomial
 convolution runs on plain ints with binomials read from a module-level
 table of Pascal rows, and each output coefficient becomes exactly one
-normalised ``Fraction``.  A Gaussian ``inverse`` goes through the
-rational one by conjugation.  Results are the same canonical values the
-scalar arithmetic would give.
+normalised ``Fraction``.  One helper, ``_convolve_parts``, holds the
+product rule on integer part vectors ([m], or [re, im] with three real
+convolutions); ``*`` and the flow composition kernel in ``flow`` both call
+it, together with ``_integer_parts`` and ``_from_parts`` for the way in and
+out.  A Gaussian ``inverse`` goes through the rational one by conjugation.
+Results are the same canonical values the scalar arithmetic would give.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import (
     DomainMismatchError,
@@ -62,10 +65,9 @@ def _common_denominator(values):
     return [v.numerator * (d // q) for v, q in zip(values, dens)], d
 
 
-def _integer_parts(series):
+def _integer_parts(coeffs, domain):
     """Integer part vectors over one denominator: ([m], D) or ([re, im], D)."""
-    coeffs = series.coeffs
-    if series.domain is Domain.RATIONAL:
+    if domain is Domain.RATIONAL:
         nums, d = _common_denominator(coeffs)
         return [nums], d
     re = [c.re if isinstance(c, GaussianRational) else c for c in coeffs]
@@ -85,6 +87,27 @@ def _convolve(x, y):
     y_rev = y[::-1]
     top = len(y) - 1
     return [_dot(rows[n], x, y_rev[top - n :]) for n in range(len(x))]
+
+
+def _convolve_parts(x, y):
+    """Binomial convolution of integer part vectors, [m] or Gaussian [re, im].
+
+    Gaussian parts use three real convolutions: re = rr - ii and
+    im = (r + i)(r' + i') - rr - ii.
+    """
+    if len(x) == 1:
+        return [_convolve(x[0], y[0])]
+    rr = _convolve(x[0], y[0])
+    ii = _convolve(x[1], y[1])
+    mixed = _convolve(list(map(add, *x)), list(map(add, *y)))
+    return [list(map(sub, rr, ii)), [m - r - i for r, i, m in zip(rr, ii, mixed)]]
+
+
+def _from_parts(parts, d):
+    """Scalars part / d: ``Fraction``s from [m], ``GaussianRational``s from [re, im]."""
+    if len(parts) == 1:
+        return [Fraction(m, d) for m in parts[0]]
+    return [GaussianRational(Fraction(r, d), Fraction(i, d)) for r, i in zip(*parts)]
 
 
 def _saturating_float(value):
@@ -242,24 +265,11 @@ class HurwitzSeries:
         S_n / (D_a D_b) where S_n = sum_k C(n, k) x_k y_{n-k} is an exact
         int sum; it becomes one ``Fraction`` (a ``GaussianRational`` of two
         in the Gaussian domain), so entries are always of the domain's type.
-        Gaussian parts use three real convolutions: re = rr - ii and
-        im = (r + i)(r' + i') - rr - ii.
         """
         self._check(other)
-        (x, dx), (y, dy) = _integer_parts(self), _integer_parts(other)
-        d = dx * dy
-        if self.domain is Domain.RATIONAL:
-            return HurwitzSeries([Fraction(s, d) for s in _convolve(x[0], y[0])], self.domain)
-        rr = _convolve(x[0], y[0])
-        ii = _convolve(x[1], y[1])
-        mixed = _convolve(list(map(add, *x)), list(map(add, *y)))
-        return HurwitzSeries(
-            [
-                GaussianRational(Fraction(r - i, d), Fraction(m - r - i, d))
-                for r, i, m in zip(rr, ii, mixed)
-            ],
-            self.domain,
-        )
+        x, dx = _integer_parts(self.coeffs, self.domain)
+        y, dy = _integer_parts(other.coeffs, other.domain)
+        return HurwitzSeries(_from_parts(_convolve_parts(x, y), dx * dy), self.domain)
 
     def hadamard(self, other):
         self._check(other)
@@ -289,7 +299,7 @@ class HurwitzSeries:
             real = (self * conj).to_domain(Domain.RATIONAL)
             return conj * real.inverse().to_domain(self.domain)
         rows = binomial_rows(self.order)
-        (a,), d = _integer_parts(self)
+        (a,), d = _integer_parts(self.coeffs, self.domain)
         c = a[0]
         ac = [a[h] * c ** (h - 1) for h in range(1, len(a))]  # A_h c^(h-1)
         p = [1]

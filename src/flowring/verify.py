@@ -25,6 +25,7 @@ from .expr import format_expr, parse, series_from_text
 from .flow import (
     ClosedFormFlow,
     FlowKind,
+    _compose,
     closed_form_eval,
     decompose_flow,
     derivation_identity_check,
@@ -572,20 +573,6 @@ def bell_numbers():
     return _ok(name, "matches brute-force set partition counts for n<=5")
 
 
-def _compose_polynomials(outer, inner, order):
-    # ordinary-coefficient Horner, truncated at the given degree
-    result = [outer[-1]]
-    for c in reversed(outer[:-1]):
-        new = [Fraction(0)] * min(len(result) + len(inner) - 1, order + 1)
-        for ii, a in enumerate(result):
-            for jj, b in enumerate(inner):
-                if ii + jj <= order:
-                    new[ii + jj] += a * b
-        new[0] += c
-        result = new
-    return result + [Fraction(0)] * (order + 1 - len(result))
-
-
 def bell_composition(rng, pairs=10, order=10):
     name = "bell-composition"
     for i in range(pairs):
@@ -596,8 +583,9 @@ def bell_composition(rng, pairs=10, order=10):
             via_bell.append(
                 bell_polynomial(n, gb.coeffs[1 : n + 1], fa.coeffs[1 : n + 1])
             )
-        ordinary = _compose_polynomials(fa.to_polynomial(), gb.to_polynomial(), order)
-        oracle = HurwitzSeries.from_polynomial(ordinary, order)
+        # fa(gb) as a series in t with constant x-coefficients, by the flow kernel
+        inner = [HurwitzSeries((c,), Domain.RATIONAL) for c in gb.coeffs]
+        oracle = HurwitzSeries([s.coeffs[0] for s in _compose(fa, inner, order)], Domain.RATIONAL)
         if HurwitzSeries(via_bell, Domain.RATIONAL) != oracle:
             return _fail(name, f"composition differs from direct substitution on pair {i}")
     return _ok(name, f"{pairs} pairs through N={order}")

@@ -97,7 +97,9 @@ def test_composition_against_polynomial_substitution():
     assert outcome.passed, outcome.detail
 
 
-def test_bell_polynomial_walks_the_partitions_once(monkeypatch):
+def test_bell_polynomial_draws_no_partition(monkeypatch):
+    b = [Fraction(m, 7) for m in range(1, 13)]
+    expected = sum(partial_bell(12, k, b) * b[12 - k] for k in range(1, 13))
     drawn = []
 
     def counting(n):
@@ -106,9 +108,16 @@ def test_bell_polynomial_walks_the_partitions_once(monkeypatch):
             yield j
 
     monkeypatch.setattr(bell, "iter_partitions", counting)
-    b = [Fraction(m, 7) for m in range(1, 13)]
-    bell_polynomial(12, b, b[::-1])
-    assert len(drawn) == 77
+    assert bell_polynomial(12, b, b[::-1]) == expected
+    bell_polynomial(64, list(range(1, 65)), [Fraction(1, 2)] * 64)
+    assert drawn == []
+
+
+def test_bell_polynomial_rejects_n_beyond_the_partition_bound():
+    with pytest.raises(OutOfRangeError):
+        bell_polynomial(0, B, A)
+    with pytest.raises(OutOfRangeError):
+        bell_polynomial(65, [1] * 65, [1] * 65)
 
 
 @pytest.mark.parametrize("gaussian", [False, True])

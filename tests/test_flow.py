@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowring import flow as flow_module
 from flowring.autonomous import AutonomousSequence, autonomous_sequence
@@ -25,8 +26,8 @@ from flowring.flow import (
     semigroup_check,
     time_scale,
 )
-from flowring.hurwitz import HurwitzSeries
-from flowring.scalars import Domain
+from flowring.hurwitz import HurwitzSeries, add_truncating, mul_truncating
+from flowring.scalars import Domain, GaussianRational
 from flowring.verify import random_polynomial_series
 
 
@@ -142,16 +143,16 @@ def test_semigroup_machinery_detects_corruption():
     assert mismatched
 
 
-def _perturb_second_term(monkeypatch):
-    """Make the checks see the true sequence with one coefficient of A_2 off by one."""
+def _perturb_term(monkeypatch, n=2, index=1):
+    """Make the checks see the true sequence with coefficient ``index`` of A_n off by one."""
     true_sequence = flow_module.autonomous_sequence
 
     def perturbed(field, order_t):
         seq = true_sequence(field, order_t)
-        coeffs = list(seq.terms[2].coeffs)
-        coeffs[1] += 1
+        coeffs = list(seq.terms[n].coeffs)
+        coeffs[index] += 1
         terms = list(seq.terms)
-        terms[2] = HurwitzSeries(coeffs, seq.domain)
+        terms[n] = HurwitzSeries(coeffs, seq.domain)
         return AutonomousSequence(seq.field, terms)
 
     monkeypatch.setattr(flow_module, "autonomous_sequence", perturbed)
@@ -160,7 +161,7 @@ def _perturb_second_term(monkeypatch):
 def test_semigroup_check_fails_on_a_perturbed_term(monkeypatch):
     f = series_from_text("1+x^2", 12)
     assert semigroup_check(f, 4).passed
-    _perturb_second_term(monkeypatch)
+    _perturb_term(monkeypatch)
     report = semigroup_check(f, 4)
     assert not report.passed
     assert report.first_failure == (1, 1)
@@ -169,10 +170,127 @@ def test_semigroup_check_fails_on_a_perturbed_term(monkeypatch):
 def test_derivation_check_fails_on_a_perturbed_term(monkeypatch):
     f = series_from_text("1+x^2", 8)
     assert derivation_identity_check(f, 4).passed
-    _perturb_second_term(monkeypatch)
+    _perturb_term(monkeypatch)
     report = derivation_identity_check(f, 4)
     assert not report.passed
     assert report.first_failure == (1, "x-derivative")
+
+
+# (n, index) -> first failures of semigroup_check and derivation_identity_check
+# for 1+x^2 at N = 12, M = 4, pinned from the Horner composition they replace
+FIRST_FAILURES = {
+    (2, 0): ((1, 1), (1, "x-derivative")),
+    (2, 1): ((1, 1), (1, "x-derivative")),
+    (2, 10): ((1, 1), (1, "x-derivative")),
+    (3, 0): ((2, 1), (2, "x-derivative")),
+    (3, 1): ((2, 1), (2, "x-derivative")),
+    (3, 9): ((2, 1), (2, "x-derivative")),
+    (4, 0): ((3, 1), (3, "x-derivative")),
+    (4, 1): ((3, 1), (3, "x-derivative")),
+    (4, 8): ((3, 1), (3, "x-derivative")),
+}
+
+
+@pytest.mark.parametrize("n, index", sorted(FIRST_FAILURES))
+def test_checks_report_the_same_first_failure(monkeypatch, n, index):
+    f = series_from_text("1+x^2", 12)
+    _perturb_term(monkeypatch, n, index)
+    semigroup, derivation = semigroup_check(f, 4), derivation_identity_check(f, 4)
+    assert not semigroup.passed and not derivation.passed
+    assert (semigroup.first_failure, derivation.first_failure) == FIRST_FAILURES[n, index]
+
+
+def test_gaussian_field_composes_and_fails_on_a_perturbed_term(monkeypatch):
+    f = series_from_text("exp(i*x)+1/2*i*x^2", 12, Domain.GAUSSIAN)
+    assert semigroup_check(f, 6).passed
+    assert derivation_identity_check(f, 8).passed
+    _perturb_term(monkeypatch)
+    semigroup, derivation = semigroup_check(f, 4), derivation_identity_check(f, 4)
+    assert (semigroup.passed, semigroup.first_failure) == (False, (1, 1))
+    assert (derivation.passed, derivation.first_failure) == (False, (1, "x-derivative"))
+
+
+def test_semigroup_check_multiplies_series_only_in_the_product_recursion(monkeypatch):
+    f = series_from_text("1-1/2*x+2/3*x^3", 16)
+    calls = []
+    true_mul = HurwitzSeries.__mul__
+
+    def counting(a, b):
+        calls.append(a.order)
+        return true_mul(a, b)
+
+    monkeypatch.setattr(HurwitzSeries, "__mul__", counting)
+    assert semigroup_check(f, 5).passed
+    assert len(calls) <= 5
+
+
+def _reference_mul_bivar(u, v, cap):
+    comb = math.comb
+    out = []
+    top = min(len(u) + len(v) - 2, cap)
+    for p in range(top + 1):
+        acc = None
+        for p1 in range(max(0, p - len(v) + 1), min(p, len(u) - 1) + 1):
+            term = mul_truncating(u[p1], v[p - p1])
+            c = comb(p, p1)
+            if c != 1:
+                term = term.scale(c)
+            acc = term if acc is None else add_truncating(acc, term)
+        out.append(acc)
+    return out
+
+
+def _reference_compose(outer, inner, cap):
+    """The Horner composition over HurwitzSeries that the integer kernel replaced."""
+    domain = outer.domain
+    budget = inner[0].order
+    k_top = outer.order
+    ordinary = outer.to_polynomial()
+    result = [HurwitzSeries.constant(ordinary[k_top], budget, domain)]
+    for j in range(k_top - 1, -1, -1):
+        result = _reference_mul_bivar(result, inner, cap)
+        result[0] = add_truncating(
+            result[0], HurwitzSeries.constant(ordinary[j], budget, domain)
+        )
+        result = [
+            s.truncate(min(s.order, k_top - p)) for p, s in enumerate(result)
+        ]
+    return result
+
+
+_small_fractions = st.builds(
+    Fraction, st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=4)
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.booleans(), st.data())
+def test_compose_matches_the_horner_reference(gaussian, data):
+    domain = Domain.GAUSSIAN if gaussian else Domain.RATIONAL
+    order = data.draw(st.integers(min_value=4, max_value=16))
+    order_t = data.draw(st.integers(min_value=1, max_value=order // 2))
+    degree = data.draw(st.integers(min_value=1, max_value=4))
+    scalar = st.builds(GaussianRational, _small_fractions, _small_fractions) if gaussian \
+        else _small_fractions
+    ordinary = data.draw(st.lists(scalar, min_size=degree + 1, max_size=degree + 1))
+    field = HurwitzSeries.from_polynomial(ordinary, order, domain)
+    seq = autonomous_sequence(field, order_t)
+    inner = list(seq.terms)
+    p = data.draw(st.integers(min_value=0, max_value=order_t))
+    index = data.draw(st.integers(min_value=0, max_value=inner[p].order))
+    coeffs = list(inner[p].coeffs)
+    coeffs[index] += 1
+    inner[p] = HurwitzSeries(coeffs, domain)
+    shared = flow_module._FlowPowers(inner, order_t, order)  # as semigroup_check uses it
+    cases = [(seq.terms[q], cap) for q in range(order_t + 1) for cap in range(order_t - q + 1)]
+    cases.append((field, order_t - 1))
+    for outer, cap in cases:
+        want = _reference_compose(outer, inner, cap)
+        for got in (flow_module._compose(outer, inner, cap), shared.compose(outer, cap)):
+            assert [s.coeffs for s in got] == [s.coeffs for s in want]
+            assert [s.order for s in got] == [s.order for s in want]
+            assert [type(c) for s in got for c in s.coeffs] == \
+                [type(c) for s in want for c in s.coeffs]
 
 
 def test_composition_coefficients_have_honest_orders():
@@ -183,6 +301,8 @@ def test_composition_coefficients_have_honest_orders():
     comp = _compose(seq.terms[2], list(seq.terms), 2)
     top = seq.terms[2].order
     assert [s.order for s in comp] == [top, top - 1, top - 2]
+    shared = flow_module._FlowPowers(seq.terms, 4, f.order).compose(seq.terms[2], 2)
+    assert [s.order for s in shared] == [top, top - 1, top - 2]
 
 
 def test_closed_form_anchor_values():
@@ -270,6 +390,15 @@ def test_classify_point_examples():
     assert numeric.kind is PointKind.REGULAR and not numeric.exact
     numeric_zero = classify_point(parse("sin(x)"), 0.0)
     assert numeric_zero.kind is PointKind.EQUILIBRIUM and not numeric_zero.exact
+
+
+def test_classify_point_gaussian_coefficient_and_point():
+    i = GaussianRational(0, 1)
+    assert classify_point(parse("x^2-2*i*x-1"), i).kind is PointKind.EQUILIBRIUM
+    assert classify_point(parse("1+i*x"), i).kind is PointKind.EQUILIBRIUM
+    point = classify_point(parse("1+i*x"), GaussianRational(1, 1))
+    assert point == flow_module.OrbitPoint(GaussianRational(1, 1), PointKind.REGULAR, True)
+    assert classify_point(parse("x^2+1"), -i).kind is PointKind.EQUILIBRIUM
 
 
 def test_equilibrium_orbit_is_constant():
