@@ -8,6 +8,7 @@ The undocumented rk4-debug subcommand is a test-harness hook.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -59,7 +60,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by later calls.
+
+    Sharing is safe: parse_args leaves the parser unchanged (an appended
+    --part list is a fresh list in each namespace), and help text reads
+    COLUMNS when it is formatted, not when the parser is built.
+    """
     parser = _Parser(
         prog="flowring",
         description="Exact truncated series arithmetic for one-dimensional "

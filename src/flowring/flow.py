@@ -193,7 +193,10 @@ def semigroup_check(field, order_t):
     Both sides expand as series in (s, t) with x-series coefficients.
     The right side has A_{p+q} at s^p t^q/(p! q!); the left substitutes
     the time-s flow into each A_q.  Returns the first failing (p, q), if
-    any, over all honestly known coefficients with p + q <= order_t.
+    any, over all honestly known coefficients with p + q <= order_t and
+    q >= 1.  At q = 0 the left side composes A_0 = x with the flow, which
+    hands back the flow's own rows A_p, so it would compare each A_p with
+    itself and could never fail; those comparisons are skipped.
     """
     if field.order < 2 * order_t:
         raise OrderExhaustedError(
@@ -201,7 +204,7 @@ def semigroup_check(field, order_t):
         )
     seq = autonomous_sequence(field, order_t)
     powers = _FlowPowers(seq.terms, order_t, field.order)
-    for q in range(order_t + 1):
+    for q in range(1, order_t + 1):
         comp = powers.compose(seq.terms[q], order_t - q)
         for p in range(order_t - q + 1):
             if not comp[p].agrees_with(seq.terms[p + q]):
@@ -326,7 +329,20 @@ class ClosedFormFlow:
 
 
 def closed_form_eval(cf, t, x):
-    """IEEE double value of the closed form at (t, x), inside its domain."""
+    """IEEE double value of the closed form at (t, x), inside its domain.
+
+    Raises ClosedFormDomainError outside the domain, and also when a
+    parameter or an intermediate value does not fit a double.
+    """
+    try:
+        return _closed_form_value(cf, t, x)
+    except OverflowError:
+        raise ClosedFormDomainError(
+            f"the {cf.kind.value} closed form at t = {t}, x = {x} does not fit a double"
+        ) from None
+
+
+def _closed_form_value(cf, t, x):
     kind = cf.kind
     if kind is FlowKind.AFFINE:
         return x + float(cf.params[0]) * t
@@ -428,7 +444,7 @@ def classify_point(field, x0):
     if series is not None:
         kind = PointKind.EQUILIBRIUM if not series.eval_exact(point) else PointKind.REGULAR
         return OrbitPoint(x0, kind, True)
-    value = eval_field(field, float(x0))
+    value = eval_field(field)(float(x0))
     kind = PointKind.EQUILIBRIUM if abs(value) <= EQUILIBRIUM_TOLERANCE else PointKind.REGULAR
     return OrbitPoint(x0, kind, False)
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from flowring import cli
 from flowring.autonomous import AutonomousSequence
 from flowring.cli import main
 from flowring.expr import series_from_text
@@ -172,6 +173,46 @@ def test_exit_code_usage_errors():
     assert code == 3
     code, _, err = run_cli("decompose", "--mode", "sum", "--part", "-x")
     assert code == 3 and "expected one argument" in err
+
+
+_BEYOND_DOUBLE = "1" + "0" * 310
+
+
+@pytest.mark.parametrize("field, x, t", [
+    ("x^2000", "2", "0.01"),
+    ("10^300*x", "0.1", "0.5"),
+    ("(10^200)^2*x", "0.1", "0.5"),
+    (f"x^3+x^2+{_BEYOND_DOUBLE}", "0.1", "0.01"),
+    (f"x+cos({_BEYOND_DOUBLE}*x)", "0.1", "0.01"),
+    (f"x^3+exp({_BEYOND_DOUBLE}*x)", "0.1", "0.01"),
+], ids=["closed-form-power", "closed-form-exp", "closed-form-param", "rk4-constant",
+        "rk4-cos-scale", "rk4-exp-scale"])
+def test_eval_overflow_is_a_domain_error(field, x, t):
+    code, _, err = run_cli("eval", f"--field={field}", f"--x={x}", f"--t={t}")
+    assert code == 2
+    assert err.startswith("domain error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_main_builds_the_parser_once():
+    cli._build_parser.cache_clear()
+    run_cli("series", "--field=x", "--order-x=2", "--order-t=1")
+    run_cli("flow", "--field=x", "--order-x=2", "--order-t=1")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_shared_parser_keeps_no_state_between_calls():
+    cli._build_parser.cache_clear()
+    usage = ["series", "--field=x", "--order-x", "1/2"]
+    code, _, first_err = run_cli(*usage)
+    assert code == 3
+    code, out, _ = run_cli("decompose", "--mode=sum", "--part=x", "--part=1", "--order-x=4",
+                           "--order-t=2")
+    assert code == 0 and out.startswith("mode: sum with 2 part(s)")
+    code, out, _ = run_cli("decompose", "--mode=sum", "--part=x^2", "--order-x=4", "--order-t=2")
+    assert code == 0 and out.startswith("mode: sum with 1 part(s)")
+    assert run_cli(*usage) == (3, "", first_err)
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -1,20 +1,24 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowring import expr
 from flowring.errors import DomainMismatchError, NumericBlowupError, OutOfRangeError
 from flowring.expr import parse, series_from_text
 from flowring.flow import ClosedFormFlow, FlowKind, flow_series
 from flowring.oracle import eval_field, fd_flow_derivative_check, rk4_solve
+from flowring.scalars import GaussianRational
 
 
 def test_eval_field_pointwise():
-    assert eval_field(parse("x^2+1"), 2.0) == 5.0
-    assert eval_field(parse("exp(2x)"), 0.5) == pytest.approx(math.e)
-    assert eval_field(parse("sin(x)+cos(x)"), 0.0) == 1.0
-    assert eval_field(parse("-x"), 3.0) == -3.0
+    assert eval_field(parse("x^2+1"))(2.0) == 5.0
+    assert eval_field(parse("exp(2x)"))(0.5) == pytest.approx(math.e)
+    assert eval_field(parse("sin(x)+cos(x)"))(0.0) == 1.0
+    assert eval_field(parse("-x"))(3.0) == -3.0
     with pytest.raises(DomainMismatchError):
-        eval_field(parse("i*x"), 1.0)
+        eval_field(parse("i*x"))(1.0)
 
 
 def test_rk4_exponential():
@@ -71,3 +75,115 @@ def test_fd_step_bounds():
         fd_flow_derivative_check(linear, parse("x"), 0.1, 0.1, 1e-2)
     with pytest.raises(OutOfRangeError):
         fd_flow_derivative_check(linear, parse("x"), 0.1, 0.1, 1e-7)
+
+
+# -- the float function against a tree walk --------------------------------
+
+
+def _reference_eval_field(node, y):
+    """Tree-walking evaluation: the whole dispatch runs at every point."""
+    if isinstance(node, expr.Const):
+        v = node.value
+        if isinstance(v, GaussianRational):
+            if v.im != 0:
+                raise DomainMismatchError("numeric evaluation needs a real field")
+            v = v.re
+        return float(v)
+    if isinstance(node, expr.Var):
+        return float(y)
+    if isinstance(node, expr.Add):
+        return _reference_eval_field(node.left, y) + _reference_eval_field(node.right, y)
+    if isinstance(node, expr.Sub):
+        return _reference_eval_field(node.left, y) - _reference_eval_field(node.right, y)
+    if isinstance(node, expr.Mul):
+        return _reference_eval_field(node.left, y) * _reference_eval_field(node.right, y)
+    if isinstance(node, expr.Neg):
+        return -_reference_eval_field(node.child, y)
+    if isinstance(node, expr.Pow):
+        try:
+            return _reference_eval_field(node.base, y) ** node.exponent
+        except OverflowError:
+            return math.inf
+    scale = node.scale
+    if isinstance(scale, GaussianRational):
+        if scale.im != 0:
+            raise DomainMismatchError("numeric evaluation needs a real field")
+        scale = scale.re
+    arg = float(scale) * y
+    fn = {expr.Exp: math.exp, expr.Sin: math.sin, expr.Cos: math.cos}[type(node)]
+    try:
+        return fn(arg)
+    except OverflowError:
+        return math.inf
+
+
+def _reference_rk4(node, x0, t1, steps):
+    """The RK4 stages of rk4_solve over the tree walk, as a list of states."""
+    h = t1 / steps
+    y = float(x0)
+    ys = [y]
+    for _ in range(steps):
+        k1 = _reference_eval_field(node, y)
+        k2 = _reference_eval_field(node, y + 0.5 * h * k1)
+        k3 = _reference_eval_field(node, y + 0.5 * h * k2)
+        k4 = _reference_eval_field(node, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys.append(y)
+    return ys
+
+
+def _outcome(compute):
+    """Bit pattern of a float result (so -0.0, inf and nan compare exactly), or the error type."""
+    try:
+        return float.hex(compute())
+    except (DomainMismatchError, NumericBlowupError, ValueError) as exc:
+        return type(exc)
+
+
+_fractions = st.builds(Fraction, st.integers(-10**300, 10**300), st.integers(1, 10**6))
+_scales = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 100))
+
+
+def _gaussian(parts):
+    """Gaussian rationals with a zero imaginary part, and with any."""
+    return st.builds(GaussianRational, parts, st.just(Fraction(0)) | parts)
+
+
+_elementary = [st.builds(kind, _scales | _gaussian(_scales))
+               for kind in (expr.Exp, expr.Sin, expr.Cos)]
+_fields = st.recursive(
+    st.one_of([st.just(expr.Var()), st.builds(expr.Const, _fractions | _gaussian(_fractions))]
+              + _elementary),
+    lambda children: st.one_of([st.builds(kind, children, children)
+                                for kind in (expr.Add, expr.Sub, expr.Mul)])
+    | st.builds(expr.Neg, children)
+    | st.builds(expr.Pow, children, st.integers(0, 60)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fields, st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))
+def test_eval_field_matches_the_tree_walk_bit_for_bit(node, points):
+    for y in points:
+        expected = _outcome(lambda: _reference_eval_field(node, y))
+        assert _outcome(lambda: eval_field(node)(y)) == expected
+
+
+@pytest.mark.parametrize("text, x0, t1", [
+    ("3/2*x^5-1/2*x^2+x-1/3", 0.15, 0.12),
+    ("exp(-1/2*x)+sin(3/2*x)", -0.2, 0.1),
+    ("-5/4*x^47", 0.18, 0.05),
+    ("x^2+3/2*x+9/4", 0.1, 0.08),
+    ("-7/2", 0.05, 0.1),
+])
+def test_rk4_solve_matches_the_tree_walk_bit_for_bit(text, x0, t1):
+    ys = rk4_solve(parse(text), x0, t1, 512).ys
+    assert [y.hex() for y in ys] == [y.hex() for y in _reference_rk4(parse(text), x0, t1, 512)]
+
+
+def test_a_complex_constant_is_rejected_when_the_function_is_built():
+    with pytest.raises(DomainMismatchError):
+        eval_field(parse("sin(x)+1/2*i"))
+    with pytest.raises(DomainMismatchError):
+        rk4_solve(parse("x+1/2*i"), 0.1, 0.1, 64)
