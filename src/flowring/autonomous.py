@@ -165,17 +165,22 @@ class InteractionTerm:
     series: HurwitzSeries
 
 
-def sum_interaction_terms(f, g, order_t):
-    """H_1 .. H_M from the recurrence, for fields of equal order and domain."""
+def sum_interaction_terms(seq_f, seq_g):
+    """H_1 .. H_M from the recurrence, given the sequences of f and g.
+
+    The fields need equal orders and one domain, the sequences equal
+    t-orders M >= 2.
+    """
+    f, g = seq_f.field, seq_g.field
     if f.domain is not g.domain:
         raise DomainMismatchError("interaction terms need one domain")
     if f.order != g.order:
         raise OrderMismatchError("interaction terms need equal field orders")
+    if seq_f.order_t != seq_g.order_t:
+        raise OrderMismatchError("interaction terms need equal t-orders")
+    order_t = seq_f.order_t
     if order_t < 2:
         raise OutOfRangeError("interaction terms are defined for order_t >= 2")
-    _check_depth(f, order_t)
-    seq_f = autonomous_sequence(f, order_t)
-    seq_g = autonomous_sequence(g, order_t)
     total = f + g
     h = [None, HurwitzSeries.zeros(f.order, f.domain)]
     for n in range(1, order_t):

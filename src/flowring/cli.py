@@ -8,6 +8,7 @@ The undocumented rk4-debug subcommand is a test-harness hook.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import sys
@@ -178,6 +179,8 @@ def _cmd_eval(args, out):
             rk4_value = rk4_solve(ast, args.x, args.t, args.steps).final
         except DomainMismatchError:
             rk4_value = None  # complex-valued field with a real flow
+    if not cmath.isfinite(series_value):
+        raise NumericBlowupError(f"the series value {series_value!r} is not finite")
 
     if args.format == "json":
         payload = {

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
+from operator import add, sub
 
 from .errors import DomainRequiredError, ParseError, UnsupportedArgumentError
 from .hurwitz import HurwitzSeries, power_truncating
@@ -240,24 +241,29 @@ def parse(text):
 
 
 def _poly(node):
-    """Ordinary polynomial coefficients of a transcendental-free tree, else None."""
+    """Nonzero ordinary coefficients {k: c_k} of a transcendental-free tree, else None.
+
+    Work is proportional to the number of terms, not to the degree, so
+    x^300000 is one term throughout.
+    """
     if isinstance(node, Const):
-        return [node.value]
+        return {0: node.value} if node.value else {}
     if isinstance(node, Var):
-        return [Fraction(0), Fraction(1)]
+        return {1: Fraction(1)}
     if isinstance(node, Neg):
         inner = _poly(node.child)
-        return None if inner is None else [-c for c in inner]
+        return None if inner is None else {k: -c for k, c in inner.items()}
     if isinstance(node, (Add, Sub)):
         left, right = _poly(node.left), _poly(node.right)
         if left is None or right is None:
             return None
-        size = max(len(left), len(right))
-        left = left + [Fraction(0)] * (size - len(left))
-        right = right + [Fraction(0)] * (size - len(right))
-        if isinstance(node, Add):
-            return [a + b for a, b in zip(left, right)]
-        return [a - b for a, b in zip(left, right)]
+        op = add if isinstance(node, Add) else sub
+        out = dict(left)
+        for k, c in right.items():
+            total = op(out.pop(k, 0), c)
+            if total:
+                out[k] = total
+        return out
     if isinstance(node, Mul):
         left, right = _poly(node.left), _poly(node.right)
         if left is None or right is None:
@@ -267,31 +273,22 @@ def _poly(node):
         base = _poly(node.base)
         if base is None:
             return None
-        return power(base, node.exponent, [Fraction(1)], _poly_mul)
+        return power(base, node.exponent, {0: Fraction(1)}, _poly_mul)
     return None
 
 
 def _poly_mul(left, right):
-    """Schoolbook product of ordinary coefficient lists, skipping zero left entries."""
-    out = [Fraction(0)] * (len(left) + len(right) - 1)
-    for ii, a in enumerate(left):
-        if not a:
-            continue
-        for jj, b in enumerate(right):
-            out[ii + jj] = out[ii + jj] + a * b
-    return out
-
-
-def _trimmed(coeffs):
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+    """Product of sparse ordinary polynomials, one product per pair of terms."""
+    out = {}
+    for i, a in left.items():
+        for j, b in right.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return {k: c for k, c in out.items() if c}
 
 
 def polynomial_coefficients(node):
-    """Ordinary coefficients [c_0, c_1, ...] or None if exp/sin/cos occur."""
-    coeffs = _poly(node)
-    return None if coeffs is None else _trimmed(coeffs)
+    """Nonzero ordinary coefficients {k: c_k}, or None if exp/sin/cos occur."""
+    return _poly(node)
 
 
 def _linear_scale(node, func, offset):
@@ -300,12 +297,11 @@ def _linear_scale(node, func, offset):
         raise UnsupportedArgumentError(
             f"{func} at offset {offset} takes a scalar multiple of x, not a nested function"
         )
-    coeffs = _trimmed(coeffs)
-    if len(coeffs) > 2 or coeffs[0]:
+    if not coeffs.keys() <= {1}:
         raise UnsupportedArgumentError(
             f"{func} at offset {offset} takes a scalar multiple of x"
         )
-    return coeffs[1] if len(coeffs) == 2 else Fraction(0)
+    return coeffs.get(1, Fraction(0))
 
 
 def _needs_gaussian(value):

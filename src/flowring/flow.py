@@ -54,7 +54,7 @@ from .hurwitz import (
     binomial_rows,
     mul_truncating,
 )
-from .scalars import Domain, GaussianRational, format_scalar, parse_scalar
+from .scalars import GaussianRational, format_scalar, parse_scalar
 
 
 FlowSeries = AutonomousSequence
@@ -388,19 +388,19 @@ def match_closed_form(node):
                 and node.scale != 0:
             return ClosedFormFlow(FlowKind.EXPFIELD, (node.scale,))
         return None
-    if any(isinstance(c, GaussianRational) and c.im != 0 for c in coeffs):
+    if any(isinstance(c, GaussianRational) and c.im != 0 for c in coeffs.values()):
         return None
-    coeffs = [c.re if isinstance(c, GaussianRational) else c for c in coeffs]
-    degree = len(coeffs) - 1
+    coeffs = {k: c.re if isinstance(c, GaussianRational) else c for k, c in coeffs.items()}
+    degree = max(coeffs, default=0)
+    c0, c1, c2 = (coeffs.get(k, Fraction(0)) for k in range(3))
     if degree == 0:
-        return ClosedFormFlow(FlowKind.AFFINE, (coeffs[0],))
+        return ClosedFormFlow(FlowKind.AFFINE, (c0,))
     if degree == 1:
-        a = coeffs[1]
-        return ClosedFormFlow(FlowKind.EXPONENTIAL, (a, -coeffs[0] / a))
-    if all(c == 0 for c in coeffs[:-1]):
-        return ClosedFormFlow(FlowKind.POWER, (coeffs[-1], degree))
-    if degree == 2 and coeffs[2] == 1:
-        b, c = -coeffs[1], coeffs[0]
+        return ClosedFormFlow(FlowKind.EXPONENTIAL, (c1, -c0 / c1))
+    if len(coeffs) == 1:
+        return ClosedFormFlow(FlowKind.POWER, (coeffs[degree], degree))
+    if degree == 2 and c2 == 1:
+        b, c = -c1, c0
         if 4 * c - b * b > 0:
             return ClosedFormFlow(FlowKind.IRREDUCIBLE_QUADRATIC, (b, c))
     return None
@@ -426,23 +426,21 @@ class OrbitPoint:
 def classify_point(field, x0):
     """Equilibrium iff the field vanishes at x0.
 
-    Series and polynomial expressions are evaluated exactly; expressions
+    Series and polynomial expressions are evaluated exactly, as the sum
+    of c_k x0^k over their nonzero ordinary coefficients; expressions
     with exp/sin/cos fall back to a numeric test at tolerance 1e-12 and
     are flagged as such.
     """
     from .oracle import eval_field  # local import keeps the oracle independent
 
-    series, point = field, x0
-    if not isinstance(field, HurwitzSeries):
+    if isinstance(field, HurwitzSeries):
+        coeffs = dict(enumerate(field.to_polynomial()))
+    else:
         coeffs = polynomial_coefficients(field)
-        series = None
-        if coeffs is not None:
-            point = x0 if isinstance(x0, GaussianRational) else Fraction(x0)
-            gaussian = any(isinstance(c, GaussianRational) for c in (point, *coeffs))
-            domain = Domain.GAUSSIAN if gaussian else Domain.RATIONAL
-            series = HurwitzSeries.from_polynomial(coeffs, len(coeffs) - 1, domain)
-    if series is not None:
-        kind = PointKind.EQUILIBRIUM if not series.eval_exact(point) else PointKind.REGULAR
+    if coeffs is not None:
+        point = x0 if isinstance(x0, GaussianRational) else Fraction(x0)
+        value = sum(c * point**k for k, c in coeffs.items())
+        kind = PointKind.EQUILIBRIUM if not value else PointKind.REGULAR
         return OrbitPoint(x0, kind, True)
     value = eval_field(field)(float(x0))
     kind = PointKind.EQUILIBRIUM if abs(value) <= EQUILIBRIUM_TOLERANCE else PointKind.REGULAR

@@ -354,16 +354,13 @@ class HurwitzSeries:
     def eval_at(self, point):
         """Floating-point value of the truncated series at ``point``.
 
-        Sums a_n point^n / n! Horner style; rational series at a real
-        point yield a float, anything else a complex.  Values beyond
-        double range become IEEE infinities rather than raising.
+        Sums the ordinary coefficients a_n / n! of ``to_polynomial``, each
+        as a double, Horner style; rational series at a real point yield a
+        float, anything else a complex.  Values beyond double range become
+        IEEE infinities rather than raising.
         """
-        fact = 1
         terms = []
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                fact *= k
-            exact = c / fact
+        for exact in self.to_polynomial():
             if isinstance(exact, GaussianRational):
                 terms.append(complex(_saturating_float(exact.re), _saturating_float(exact.im)))
             else:
@@ -371,17 +368,6 @@ class HurwitzSeries:
         acc = terms[-1]
         for b in reversed(terms[:-1]):
             acc = acc * point + b
-        return acc
-
-    def eval_exact(self, point):
-        """Exact value sum a_n point^n / n! of the truncated polynomial."""
-        powers = HurwitzSeries.exp(point, self.order, self.domain).coeffs
-        acc = self.domain.zero()
-        fact = 1
-        for k, (c, p) in enumerate(zip(self.coeffs, powers)):
-            if k > 0:
-                fact *= k
-            acc = acc + c * p / fact
         return acc
 
     # -- serialization ---------------------------------------------------

@@ -48,7 +48,8 @@ def eval_field(node):
     Raises DomainMismatchError for a Gaussian constant with a nonzero
     imaginary part and NumericBlowupError for a constant or scale beyond
     the double range, both while the function is built.  A power or
-    exponential that overflows a double evaluates to inf.
+    exponential that overflows a double evaluates to inf; sin or cos of
+    an infinite argument raises NumericBlowupError when it is called.
     """
     kind = type(node)
     if kind is _expr.Var:
@@ -80,6 +81,8 @@ def eval_field(node):
                 return fn(arg)
             except OverflowError:
                 return math.inf
+            except ValueError:  # sin or cos of an infinite argument
+                raise NumericBlowupError(f"{fn.__name__}({arg!r}) has no value") from None
 
         return elementary
     raise TypeError(f"not a field expression: {node!r}")

@@ -199,10 +199,10 @@ def interaction_recurrence(rng, pairs=30, order_t=6, order=16):
     for i in range(pairs):
         f = random_polynomial_series(rng, order, 3)
         g = random_polynomial_series(rng, order, 3)
-        witnesses = sum_interaction_terms(f, g, order_t)
         seq_sum = autonomous_sequence(f + g, order_t)
         seq_f = autonomous_sequence(f, order_t)
         seq_g = autonomous_sequence(g, order_t)
+        witnesses = sum_interaction_terms(seq_f, seq_g)
         for w in witnesses:
             n = w.index
             direct = seq_sum.terms[n] - seq_f.terms[n] - seq_g.terms[n]
@@ -213,11 +213,11 @@ def interaction_recurrence(rng, pairs=30, order_t=6, order=16):
             return _fail(name, f"H_2 closed form broke on pair {i}")
     zero = HurwitzSeries.zeros(order)
     f = random_polynomial_series(rng, order, 3)
-    for w in sum_interaction_terms(f, zero, order_t):
+    seq_f = autonomous_sequence(f, order_t)
+    for w in sum_interaction_terms(seq_f, autonomous_sequence(zero, order_t)):
         if not w.series.is_zero():
             return _fail(name, "interaction with the zero field is not zero")
-    seq_f = autonomous_sequence(f, order_t)
-    for w in sum_interaction_terms(f, f, order_t):
+    for w in sum_interaction_terms(seq_f, seq_f):
         expected = seq_f.terms[w.index].scale(2 ** w.index - 2)
         if w.series != expected:
             return _fail(name, f"H_n(f, f) != (2^n - 2) A_n at n={w.index}")

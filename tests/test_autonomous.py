@@ -14,7 +14,12 @@ from flowring.autonomous import (
     scalar_action,
     sum_interaction_terms,
 )
-from flowring.errors import DomainMismatchError, OrderExhaustedError, OrderMismatchError
+from flowring.errors import (
+    DomainMismatchError,
+    OrderExhaustedError,
+    OrderMismatchError,
+    OutOfRangeError,
+)
 from flowring.expr import series_from_text
 from flowring.hurwitz import HurwitzSeries, add_truncating, mul_truncating
 from flowring.scalars import Domain, GaussianRational
@@ -85,13 +90,13 @@ def test_box_plus_cross_term():
 def test_interaction_terms():
     f = series_from_text("x^2", 10)
     g = series_from_text("1-x", 10)
-    witnesses = sum_interaction_terms(f, g, 5)
-    assert witnesses[0].series.is_zero()
-    h2 = mul_truncating(f, g.derivative()) + mul_truncating(g, f.derivative())
-    assert witnesses[1].series == h2
     seq_sum = autonomous_sequence(f + g, 5)
     seq_f = autonomous_sequence(f, 5)
     seq_g = autonomous_sequence(g, 5)
+    witnesses = sum_interaction_terms(seq_f, seq_g)
+    assert witnesses[0].series.is_zero()
+    h2 = mul_truncating(f, g.derivative()) + mul_truncating(g, f.derivative())
+    assert witnesses[1].series == h2
     for w in witnesses:
         assert w.series == seq_sum.terms[w.index] - seq_f.terms[w.index] - seq_g.terms[w.index]
 
@@ -99,13 +104,14 @@ def test_interaction_terms():
 def test_interaction_with_zero_field_vanishes():
     f = series_from_text("x^3-2", 10)
     zero = HurwitzSeries.zeros(10)
-    assert all(w.series.is_zero() for w in sum_interaction_terms(f, zero, 4))
+    witnesses = sum_interaction_terms(autonomous_sequence(f, 4), autonomous_sequence(zero, 4))
+    assert all(w.series.is_zero() for w in witnesses)
 
 
 def test_interaction_doubling_identity():
     f = series_from_text("1+x^2", 12)
     seq = autonomous_sequence(f, 6)
-    for w in sum_interaction_terms(f, f, 6):
+    for w in sum_interaction_terms(seq, seq):
         assert w.series == seq.terms[w.index].scale(2 ** w.index - 2)
 
 
@@ -155,7 +161,15 @@ def test_mismatch_errors():
     with pytest.raises(DomainMismatchError):
         box_dot(a, c)
     with pytest.raises(OrderMismatchError):
-        sum_interaction_terms(series_from_text("x", 8), series_from_text("x", 9), 3)
+        sum_interaction_terms(autonomous_sequence(series_from_text("x", 8), 3),
+                              autonomous_sequence(series_from_text("x", 9), 3))
+    with pytest.raises(OrderMismatchError):
+        sum_interaction_terms(a, b)
+    with pytest.raises(DomainMismatchError):
+        sum_interaction_terms(a, c)
+    short = autonomous_sequence(series_from_text("x", 8), 1)
+    with pytest.raises(OutOfRangeError):
+        sum_interaction_terms(short, short)
 
 
 def test_honest_orders_shrink():

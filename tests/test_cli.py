@@ -28,21 +28,102 @@ GOLDEN = {
     "series-quartic-n64": (
         ["series", "--field", "-7/3 + 5/4*x - 11/6*x^2 + 3/10*x^3 - 13/9*x^4",
          "--order-x", "64", "--order-t", "64", "--format", "json"],
-        "0ba3e6d397f0e3750da3f9ff13019ace74a0c2034886c56734f6af05a91d395b",
+        0, "0ba3e6d397f0e3750da3f9ff13019ace74a0c2034886c56734f6af05a91d395b",
     ),
     "flow-gaussian-n24": (
         ["flow", "--field", "1/2 + i*x - 2/3*x^2 + exp(i*x)", "--domain", "gaussian",
          "--order-x", "24", "--order-t", "12"],
-        "289d0dca96f78ee0a878bab69dd2667bbf2042b8389974b5ff6850d853dddf7a",
+        0, "289d0dca96f78ee0a878bab69dd2667bbf2042b8389974b5ff6850d853dddf7a",
+    ),
+    # eval on each catalog kind, in both formats
+    "eval-affine-text": (
+        ["eval", "--field=3/2", "--x=0.25", "--t=0.5"],
+        0, "af3eed13c850625b50d9b79a43ed2bf2aeab52e24be30cd78a0fbb5d40d32491",
+    ),
+    "eval-affine-json": (
+        ["eval", "--field=3/2", "--x=0.25", "--t=0.5", "--format=json"],
+        0, "a19fb9bbd1ab15c5dd16f926688865e9d00082c819d0077530620b18f19dd5c3",
+    ),
+    "eval-exponential-text": (
+        ["eval", "--field=1-2*x", "--x=0.25", "--t=0.5"],
+        0, "28f77cc58e71e349293055a26c9082742ff3c0788ab1abca3cb1124ba9c5d3b0",
+    ),
+    "eval-exponential-json": (
+        ["eval", "--field=1-2*x", "--x=0.25", "--t=0.5", "--format=json"],
+        0, "6e5d4ff9148c27310d5481bfb6828e5859abe29b9d152b4b2f89f8929db18de1",
+    ),
+    "eval-power-text": (
+        ["eval", "--field=3/2*x^3", "--x=0.5", "--t=0.25"],
+        0, "bb2b944ae3e6b84c88d9c9ecff949de085cca7acc068038fc71c570541cfccc8",
+    ),
+    "eval-power-json": (
+        ["eval", "--field=3/2*x^3", "--x=0.5", "--t=0.25", "--format=json"],
+        0, "0b92e1ebd8b0801ddfd19ad10f076b88ff4aa2362af81f22c6c7e5ae3ef62e93",
+    ),
+    "eval-expfield-text": (
+        ["eval", "--field=exp(-1/2*x)", "--x=0.5", "--t=0.25"],
+        0, "ba34e9d864989dac1c714846506453ae36e76a97c55466a0a5369cd8a37bd3d1",
+    ),
+    "eval-expfield-json": (
+        ["eval", "--field=exp(-1/2*x)", "--x=0.5", "--t=0.25", "--format=json"],
+        0, "21212231f8e0f770c2cdcb43ad81c67f749a6fdbb82eb179944d6ef6205ec06e",
+    ),
+    "eval-quadratic-text": (
+        ["eval", "--field=x^2-x+1", "--x=0.5", "--t=0.25"],
+        0, "d292c7cb283c30e26343147585f894248b1b97a82a065a86d3d922e679c442cc",
+    ),
+    "eval-quadratic-json": (
+        ["eval", "--field=x^2-x+1", "--x=0.5", "--t=0.25", "--format=json"],
+        0, "603c0c7b2d7375e2ec50424af91e740e3981e923585ba627e2c663ee404d3d1b",
+    ),
+    # monomials of high degree and the zero field
+    "eval-monomial-x60": (
+        ["eval", "--field=x^60", "--x=0.9", "--t=0.1"],
+        0, "521394ec486d3231c166bbf3243cef4f1fafa3e8af1fcde22158506ec051f70f",
+    ),
+    "eval-monomial-x300000": (
+        ["eval", "--field=x^300000", "--x=0.1", "--t=0.01"],
+        0, "839485a6971b27c4741ddd72ec6b0f8e8dc0e3b3b79f87f862b253eaea92f814",
+    ),
+    "eval-zero-field": (
+        ["eval", "--field=0", "--x=0.5", "--t=2"],
+        0, "443c3d56323b6d13b11ebaf664d0cf3592d72753095856d501c4a3ad38a41dc1",
+    ),
+    "eval-gaussian-exp-ix": (
+        ["eval", "--field=exp(i*x)", "--domain=gaussian", "--x=0.5", "--t=0.25",
+         "--order-x=24", "--order-t=12"],
+        0, "50c6a05638d7a67fa4078024502c628309f9e3a1e00e1eb3b54488e02a1db8ee",
+    ),
+    # one reject per documented error exit code
+    "reject-parse-exit-1": (
+        ["eval", "--field=x^^2", "--x=0.5", "--t=0.25"],
+        1, "cd65fb7d1f3579342a8fd4b0431a13c97b7aa0220651e97acd2db0f37899deab",
+    ),
+    "reject-domain-exit-2": (
+        ["series", "--field=i*x"],
+        2, "86c513970359062205ec6848e7dcc229f921a708794ab81f0edec64355036985",
+    ),
+    "reject-usage-exit-3": (
+        ["series", "--field=x", "--order-x=99"],
+        3, "1e69c0a9e079af13aa85a3bd36e9fd16ef1c1886c1bf1770062fd1e56fa3f9bc",
+    ),
+    # non-finite values in eval are domain errors
+    "eval-sin-infinite-argument": (
+        ["eval", "--field=x+sin(10^308*x)", "--x=10", "--t=0.01"],
+        2, "04b4d369e1e180f6936217e23359f54880e40b16210034e55ddceb98f907793d",
+    ),
+    "eval-sin-nonfinite-series": (
+        ["eval", "--field=x+sin(10^300*x)", "--x=10", "--t=0.01"],
+        2, "6eed15efdb408c62bb9cd8ac1614f0a0caf6bb1e4e9feb3c1cb8183b12034a06",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output_digests(name):
-    argv, digest = GOLDEN[name]
+    argv, expected_code, digest = GOLDEN[name]
     code, out, err = run_cli(*argv)
-    assert code == 0
+    assert code == expected_code
     assert _sha256(f"{code}\n{out}\0{err}") == digest
 
 
@@ -185,8 +266,10 @@ _BEYOND_DOUBLE = "1" + "0" * 310
     (f"x^3+x^2+{_BEYOND_DOUBLE}", "0.1", "0.01"),
     (f"x+cos({_BEYOND_DOUBLE}*x)", "0.1", "0.01"),
     (f"x^3+exp({_BEYOND_DOUBLE}*x)", "0.1", "0.01"),
+    ("x+sin(10^308*x)", "10", "0.01"),
+    ("x+sin(10^300*x)", "10", "0.01"),
 ], ids=["closed-form-power", "closed-form-exp", "closed-form-param", "rk4-constant",
-        "rk4-cos-scale", "rk4-exp-scale"])
+        "rk4-cos-scale", "rk4-exp-scale", "rk4-sin-infinite-argument", "series-not-finite"])
 def test_eval_overflow_is_a_domain_error(field, x, t):
     code, _, err = run_cli("eval", f"--field={field}", f"--x={x}", f"--t={t}")
     assert code == 2

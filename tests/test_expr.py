@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flowring import expr
 from flowring.errors import DomainRequiredError, ParseError, UnsupportedArgumentError
@@ -53,6 +53,9 @@ def test_parse_function_scales():
     assert parse("sin(2x)") == Sin(Fraction(2))
     assert parse("cos(-1/2x)") == Cos(Fraction(-1, 2))
     assert parse("exp(0x)") == Exp(Fraction(0))
+    for text in ("exp(i*x*0+x)", "exp((i-i)*x+x)", "sin(i*x-i*x+x)"):
+        scale = parse(text).scale  # a cancelled i leaves a rational scale
+        assert scale == 1 and isinstance(scale, Fraction)
 
 
 @pytest.mark.parametrize(
@@ -170,20 +173,52 @@ def _series_to_expr(series):
 
 
 def test_polynomial_coefficients():
-    assert polynomial_coefficients(parse("1-x+x^2-x^3")) == [
-        Fraction(1),
-        Fraction(-1),
-        Fraction(1),
-        Fraction(-1),
-    ]
-    assert polynomial_coefficients(parse("(1-x)*(x^2+1)")) == [
-        Fraction(1),
-        Fraction(-1),
-        Fraction(1),
-        Fraction(-1),
-    ]
+    alternating = {0: Fraction(1), 1: Fraction(-1), 2: Fraction(1), 3: Fraction(-1)}
+    assert polynomial_coefficients(parse("1-x+x^2-x^3")) == alternating
+    assert polynomial_coefficients(parse("(1-x)*(x^2+1)")) == alternating
     assert polynomial_coefficients(parse("sin(x)")) is None
-    assert polynomial_coefficients(parse("0")) == [Fraction(0)]
+    assert polynomial_coefficients(parse("0")) == {}
+    assert polynomial_coefficients(parse("(x+1)*(x-1)")) == {0: Fraction(-1), 2: Fraction(1)}
+    assert polynomial_coefficients(parse("(1+i*x)*(1-i*x)")) == {0: 1, 2: 1}
+
+
+_poly_trees = st.recursive(
+    st.just(Var()) | st.builds(
+        Const,
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        | st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2)),
+    ),
+    lambda children: st.builds(Add, children, children)
+    | st.builds(Sub, children, children)
+    | st.builds(Mul, children, children)
+    | st.builds(Neg, children)
+    | st.builds(Pow, children, st.integers(0, 3)),
+    max_leaves=8,
+)
+
+
+def _degree_bound(node):
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, Const):
+        return 0
+    if isinstance(node, Neg):
+        return _degree_bound(node.child)
+    if isinstance(node, Pow):
+        return _degree_bound(node.base) * node.exponent
+    left, right = _degree_bound(node.left), _degree_bound(node.right)
+    return left + right if isinstance(node, Mul) else max(left, right)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_trees)
+def test_polynomial_coefficients_match_the_elaborated_series(node):
+    order = _degree_bound(node) + 1
+    assume(order <= 40)
+    coeffs = polynomial_coefficients(node)
+    assert all(coeffs.values())
+    series = elaborate(node, order, Domain.GAUSSIAN)
+    assert coeffs == {k: c for k, c in enumerate(series.to_polynomial()) if c}
 
 
 def test_pow_zero_is_one():
@@ -209,6 +244,10 @@ def test_elaborate_powers_by_repeated_squaring(monkeypatch):
 
 
 def test_polynomial_powers_by_repeated_squaring(monkeypatch):
+    poly_mul = expr._poly_mul
     bound = 2 * math.ceil(math.log2(3000))
-    monkeypatch.setattr(expr, "_poly_mul", _counting(expr._poly_mul, bound))
-    assert polynomial_coefficients(parse("x^3000")) == [0] * 3000 + [1]
+    monkeypatch.setattr(expr, "_poly_mul", _counting(poly_mul, bound))
+    assert polynomial_coefficients(parse("x^3000")) == {3000: Fraction(1)}
+    bound = 2 * math.ceil(math.log2(300000))
+    monkeypatch.setattr(expr, "_poly_mul", _counting(poly_mul, bound))
+    assert polynomial_coefficients(parse("x^300000")) == {300000: Fraction(1)}

@@ -368,6 +368,18 @@ def test_match_closed_form():
     assert match_closed_form(parse("2x^2+1")) is None
     assert match_closed_form(parse("x^2-3x+1")) is None  # real roots
     assert match_closed_form(parse("exp(i*x)")) is None
+    assert match_closed_form(parse("0")) == ClosedFormFlow(FlowKind.AFFINE, (0,))
+    assert match_closed_form(parse("x-x")) == ClosedFormFlow(FlowKind.AFFINE, (0,))
+    m = match_closed_form(parse("x^3-x^3+2x-1"))
+    assert m == ClosedFormFlow(FlowKind.EXPONENTIAL, (2, Fraction(1, 2)))
+    m = match_closed_form(parse("(x+1)^2-2x"))
+    assert m == ClosedFormFlow(FlowKind.IRREDUCIBLE_QUADRATIC, (0, 1))
+    m = match_closed_form(parse("x^2+1+i*x^5-i*x^5"))
+    assert m == ClosedFormFlow(FlowKind.IRREDUCIBLE_QUADRATIC, (0, 1))
+    m = match_closed_form(parse("3/2*x^3000000"))
+    assert m == ClosedFormFlow(FlowKind.POWER, (Fraction(3, 2), 3000000))
+    assert match_closed_form(parse("x^3000000+x")) is None
+    assert match_closed_form(parse("x^2+i*x+1")) is None
 
 
 def test_series_agrees_with_closed_form_at_a_point():
@@ -383,6 +395,8 @@ def test_classify_point_examples():
     affine = series_from_text("1-x", 8)
     assert classify_point(affine, 1).kind is PointKind.EQUILIBRIUM
     assert classify_point(affine, Fraction(1, 2)).kind is PointKind.REGULAR
+    assert classify_point(series_from_text("x^2-1", 8), -1).kind is PointKind.EQUILIBRIUM
+    assert classify_point(series_from_text("x^2-1", 8), 2).kind is PointKind.REGULAR
     quad = parse("1+x^2")
     for x0 in (Fraction(-3), Fraction(0), Fraction(7, 2)):
         assert classify_point(quad, x0).kind is PointKind.REGULAR
@@ -390,6 +404,9 @@ def test_classify_point_examples():
     assert numeric.kind is PointKind.REGULAR and not numeric.exact
     numeric_zero = classify_point(parse("sin(x)"), 0.0)
     assert numeric_zero.kind is PointKind.EQUILIBRIUM and not numeric_zero.exact
+    monomial = classify_point(parse("x^300000-x^299999"), 1)
+    assert monomial == flow_module.OrbitPoint(1, PointKind.EQUILIBRIUM, True)
+    assert classify_point(parse("x^300000-x^299999"), Fraction(1, 2)).kind is PointKind.REGULAR
 
 
 def test_classify_point_gaussian_coefficient_and_point():
@@ -405,7 +422,7 @@ def test_equilibrium_orbit_is_constant():
     f = series_from_text("1-x", 8)
     flow = flow_series(f, 5)
     for term in flow.terms[1:]:
-        assert term.eval_exact(1) == 0
+        assert classify_point(term, 1) == flow_module.OrbitPoint(1, PointKind.EQUILIBRIUM, True)
 
 
 def test_decompose_flow_examples():

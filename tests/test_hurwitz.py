@@ -212,11 +212,6 @@ def test_eval_gaussian_is_complex():
     assert abs(value - complex(math.cos(1.0), math.sin(1.0))) < 1e-12
 
 
-def test_eval_exact():
-    a = S(1, 0, 2)  # 1 + x^2
-    assert a.eval_exact(Fraction(1, 2)) == Fraction(5, 4)
-
-
 def test_eval_overflow_saturates_to_infinity():
     huge = S(Fraction(10) ** 400, 0)
     assert huge.eval_at(1.0) == math.inf

@@ -115,6 +115,8 @@ def _reference_eval_field(node, y):
         return fn(arg)
     except OverflowError:
         return math.inf
+    except ValueError:
+        raise NumericBlowupError(f"{fn.__name__}({arg!r}) has no value") from None
 
 
 def _reference_rk4(node, x0, t1, steps):
@@ -187,3 +189,13 @@ def test_a_complex_constant_is_rejected_when_the_function_is_built():
         eval_field(parse("sin(x)+1/2*i"))
     with pytest.raises(DomainMismatchError):
         rk4_solve(parse("x+1/2*i"), 0.1, 0.1, 64)
+
+
+@pytest.mark.parametrize("text", ["sin(10^308*x)", "x+cos(10^308*x)", "x-sin(-10^308*x)"])
+def test_sin_and_cos_of_an_infinite_argument_are_a_blowup(text):
+    node = parse(text)
+    assert _outcome(lambda: _reference_eval_field(node, 10.0)) is NumericBlowupError
+    with pytest.raises(NumericBlowupError):
+        eval_field(node)(10.0)
+    with pytest.raises(NumericBlowupError):
+        rk4_solve(node, 10.0, 0.01, 64)

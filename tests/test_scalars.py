@@ -68,13 +68,13 @@ def _repeated(base, exponent, one, mul):
 def test_power_matches_repeated_multiplication():
     rng = random.Random(7)
     g = Domain.GAUSSIAN
-    poly = [Fraction(0), Fraction(2, 3), Fraction(0), GaussianRational(0, 1)]
+    poly = {1: Fraction(2, 3), 3: GaussianRational(0, 1)}
     cases = [
         (Fraction(-3, 2), Fraction(1), operator.mul),
         (GaussianRational(Fraction(1, 2), -1), GaussianRational(1), operator.mul),
         (random_series(rng, 6), HurwitzSeries.constant(1, 6), operator.mul),
         (random_series(rng, 6, g), HurwitzSeries.constant(1, 6, g), operator.mul),
-        (poly, [Fraction(1)], _poly_mul),
+        (poly, {0: Fraction(1)}, _poly_mul),
     ]
     for base, one, mul in cases:
         for exponent in range(41):
