@@ -2,7 +2,6 @@
 
 from .autonomous import (
     AutonomousSequence,
-    InteractionTerm,
     autonomous_sequence,
     autonomous_sequence_bell,
     box_dot,

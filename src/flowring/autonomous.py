@@ -23,8 +23,6 @@ from being additive: A_n(f+g) = A_n(f) + A_n(g) + H_n(f, g), with H_1 = 0
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bell import iter_partitions, partition_weight
 from .errors import (
     DomainMismatchError,
@@ -89,15 +87,6 @@ class AutonomousSequence:
             "terms": [t.to_json_dict() for t in self.terms],
         }
 
-    @classmethod
-    def from_json_dict(cls, payload):
-        field = HurwitzSeries.from_json_dict(payload["field"])
-        terms = [HurwitzSeries.from_json_dict(t) for t in payload["terms"]]
-        seq = cls(field, terms)
-        if seq.order_t != payload["orderT"]:
-            raise OrderMismatchError("orderT does not match the number of terms")
-        return seq
-
 
 def autonomous_sequence(f, order_t):
     """Terms A_0 .. A_M via the product recursion A_{n+1} = f * d(A_n)."""
@@ -157,17 +146,10 @@ def scalar_action(value, seq):
     return AutonomousSequence(seq.field.scale(value), [seq.terms[0], *terms])
 
 
-@dataclass(frozen=True)
-class InteractionTerm:
-    """H_n together with its index; satisfies A_n(f+g) - A_n(f) - A_n(g) = H_n."""
-
-    index: int
-    series: HurwitzSeries
-
-
 def sum_interaction_terms(seq_f, seq_g):
-    """H_1 .. H_M from the recurrence, given the sequences of f and g.
+    """[H_1, .., H_M] from the recurrence, given the sequences of f and g.
 
+    H_n sits at position n - 1 and equals A_n(f+g) - A_n(f) - A_n(g).
     The fields need equal orders and one domain, the sequences equal
     t-orders M >= 2.
     """
@@ -182,13 +164,13 @@ def sum_interaction_terms(seq_f, seq_g):
     if order_t < 2:
         raise OutOfRangeError("interaction terms are defined for order_t >= 2")
     total = f + g
-    h = [None, HurwitzSeries.zeros(f.order, f.domain)]
+    h = [HurwitzSeries.zeros(f.order, f.domain)]
     for n in range(1, order_t):
         t1 = mul_truncating(f, seq_g.terms[n].derivative())
         t2 = mul_truncating(g, seq_f.terms[n].derivative())
-        t3 = mul_truncating(total, h[n].derivative())
+        t3 = mul_truncating(total, h[-1].derivative())
         h.append(add_truncating(add_truncating(t1, t2), t3))
-    return [InteractionTerm(n, h[n]) for n in range(1, order_t + 1)]
+    return h
 
 
 def _check_depth(f, order_t):

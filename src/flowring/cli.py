@@ -82,12 +82,12 @@ def _build_parser():
         metavar="{series,flow,eval,decompose,verify,bell-debug}",
     )
 
-    def common(p, with_order_t=True):
-        p.add_argument("--field", required=True,
-                       help="vector field expression; write --field=-x when it starts with '-'")
+    def common(p, with_field=True):
+        if with_field:
+            p.add_argument("--field", required=True,
+                           help="vector field expression; write --field=-x when it starts with '-'")
         p.add_argument("--order-x", type=int, default=16, dest="order_x")
-        if with_order_t:
-            p.add_argument("--order-t", type=int, default=12, dest="order_t")
+        p.add_argument("--order-t", type=int, default=12, dest="order_t")
         p.add_argument("--domain", choices=["rational", "gaussian"], default="rational")
         p.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -104,10 +104,7 @@ def _build_parser():
     p_dec.add_argument("--mode", choices=["sum", "product"], required=True)
     p_dec.add_argument("--part", action="append", required=True, dest="parts",
                        help="one part of the field; write --part=-x when it starts with '-'")
-    p_dec.add_argument("--order-x", type=int, default=16, dest="order_x")
-    p_dec.add_argument("--order-t", type=int, default=12, dest="order_t")
-    p_dec.add_argument("--domain", choices=["rational", "gaussian"], default="rational")
-    p_dec.add_argument("--format", choices=["text", "json"], default="text")
+    common(p_dec, with_field=False)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -131,8 +128,7 @@ def _build_parser():
 def _check_orders(args):
     if not 1 <= args.order_x <= 64:
         raise _UsageError("--order-x must lie in 1..64")
-    order_t = getattr(args, "order_t", None)
-    if order_t is not None and not 1 <= order_t <= args.order_x:
+    if not 1 <= args.order_t <= args.order_x:
         raise _UsageError("--order-t must lie in 1..order-x")
 
 
@@ -282,10 +278,7 @@ def main(argv=None, out=None, err=None):
         if hasattr(args, "order_x"):
             _check_orders(args)
         return _COMMANDS[args.command](args, out)
-    except _UsageError as exc:
-        err.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except OutOfRangeError as exc:
+    except (_UsageError, OutOfRangeError, ValueError) as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except ParseError as exc:
@@ -294,9 +287,6 @@ def main(argv=None, out=None, err=None):
     except _DOMAIN_ERRORS as exc:
         err.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
-    except ValueError as exc:
-        err.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -92,6 +92,7 @@ class _Token:
     kind: str
     value: object
     offset: int
+    text: str = ""
 
 
 def _tokenize(text):
@@ -112,7 +113,7 @@ def _tokenize(text):
                 value = Fraction(literal)
             except ZeroDivisionError:
                 raise ParseError("zero denominator in rational literal", pos) from None
-            tokens.append(_Token("number", value, pos))
+            tokens.append(_Token("number", value, pos, literal))
             pos = m.end()
             continue
         if ch.isalpha():
@@ -193,8 +194,11 @@ class _Parser:
             self.advance()
             tok = self.expect("number", ("non-negative integer exponent",))
             if tok.value.denominator != 1:
+                # "p/q" lexes as one literal, so x^2/3 reads as x^(2/3)
+                p, q = tok.text.split("/")
                 raise ParseError(
-                    "exponent must be a non-negative integer", tok.offset,
+                    "exponent must be a non-negative integer "
+                    f"(write 1/{q}*{format_expr(Pow(base, int(p)))} to divide)", tok.offset,
                     expected=("non-negative integer exponent",),
                 )
             return Pow(base, int(tok.value))
@@ -304,12 +308,8 @@ def _linear_scale(node, func, offset):
     return coeffs.get(1, Fraction(0))
 
 
-def _needs_gaussian(value):
-    return isinstance(value, GaussianRational) and value.im != 0
-
-
-def _scalar_series(value, order, domain):
-    if domain is Domain.RATIONAL and _needs_gaussian(value):
+def _scalar_series(value, domain):
+    if domain is Domain.RATIONAL and isinstance(value, GaussianRational):
         raise DomainRequiredError("this expression needs --domain gaussian")
     return domain.coerce(value)
 
@@ -317,7 +317,7 @@ def _scalar_series(value, order, domain):
 def elaborate(node, order, domain=Domain.RATIONAL):
     """Series of an expression at the given truncation order and domain."""
     if isinstance(node, Const):
-        return HurwitzSeries.constant(_scalar_series(node.value, order, domain), order, domain)
+        return HurwitzSeries.constant(_scalar_series(node.value, domain), order, domain)
     if isinstance(node, Var):
         return HurwitzSeries.x(order, domain)
     if isinstance(node, Add):
@@ -331,7 +331,7 @@ def elaborate(node, order, domain=Domain.RATIONAL):
     if isinstance(node, Pow):
         return power_truncating(elaborate(node.base, order, domain), node.exponent)
     if isinstance(node, Exp):
-        return HurwitzSeries.exp(_scalar_series(node.scale, order, domain), order, domain)
+        return HurwitzSeries.exp(_scalar_series(node.scale, domain), order, domain)
     if isinstance(node, Sin):
         return _trig_series(node.scale, (0, 1, 0, -1), order, domain)
     if isinstance(node, Cos):
@@ -341,7 +341,7 @@ def elaborate(node, order, domain=Domain.RATIONAL):
 
 def _trig_series(scale, signs, order, domain):
     """Hurwitz coefficients signs[k % 4] * scale**k of sin or cos(scale x)."""
-    powers = HurwitzSeries.exp(_scalar_series(scale, order, domain), order, domain).coeffs
+    powers = HurwitzSeries.exp(_scalar_series(scale, domain), order, domain).coeffs
     coeffs = [sign * p if sign else domain.zero() for sign, p in zip(cycle(signs), powers)]
     return HurwitzSeries(coeffs, domain)
 

@@ -52,9 +52,9 @@ from .hurwitz import (
     _from_parts,
     _integer_parts,
     binomial_rows,
-    mul_truncating,
+    mul_truncating,  # unused here; perfbench's tracer test wraps flow.mul_truncating
 )
-from .scalars import GaussianRational, format_scalar, parse_scalar
+from .scalars import GaussianRational, format_scalar
 
 
 FlowSeries = AutonomousSequence
@@ -213,21 +213,18 @@ def semigroup_check(field, order_t):
 
 
 def derivation_identity_check(field, order_t):
-    """Check f * dPhi/dx = dPhi/dt = f(Phi), exactly on the truncations.
+    """Check dPhi/dt = f(Phi), exactly on the truncations.
 
-    The first equality is the term recursion lifted to the flow; the
-    second compares the t-shifted coefficients against the composition
-    of the field with the flow.
+    The t-shift of the flow, A_1 .. A_M, is compared with the composition
+    of the field with the flow, computed by the ``_FlowPowers`` kernel and
+    not by the product recursion that built the terms.  Returns the first
+    failing (n, "composition"), where A_{n+1} differs.
     """
     if field.order < order_t + 1:
         raise OrderExhaustedError(
             f"derivation check at order {order_t} needs field order >= {order_t + 1}"
         )
     seq = autonomous_sequence(field, order_t)
-    for n in range(order_t):
-        lhs = mul_truncating(field, seq.terms[n].derivative())
-        if not lhs.agrees_with(seq.terms[n + 1]):
-            return CheckReport(False, (n, "x-derivative"), f"f*d(A_{n}) != A_{n + 1}")
     comp = _compose(field, seq.terms, order_t - 1)
     for n in range(order_t):
         if not comp[n].agrees_with(seq.terms[n + 1]):
@@ -321,11 +318,6 @@ class ClosedFormFlow:
 
     def to_json_dict(self):
         return {"kind": self.kind.value, "params": [format_scalar(p) for p in self.params]}
-
-    @classmethod
-    def from_json_dict(cls, payload):
-        params = tuple(parse_scalar(p) for p in payload["params"])
-        return cls(FlowKind(payload["kind"]), params)
 
 
 def closed_form_eval(cf, t, x):

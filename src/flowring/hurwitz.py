@@ -37,7 +37,7 @@ from .errors import (
     OrderMismatchError,
     OutOfRangeError,
 )
-from .scalars import Domain, GaussianRational, format_scalar, parse_scalar, power
+from .scalars import Domain, GaussianRational, format_scalar, power
 
 
 _ROWS = [(1,)]
@@ -166,11 +166,6 @@ class HurwitzSeries:
         coeffs = [domain.zero()] * (order + 1)
         coeffs[1] = domain.one()
         return cls(coeffs, domain)
-
-    @classmethod
-    def ones(cls, order, domain=Domain.RATIONAL):
-        """Unit of the Hadamard product, (1, 1, 1, ...)."""
-        return cls([domain.one()] * (order + 1), domain)
 
     @classmethod
     def exp(cls, base, order, domain=None):
@@ -378,17 +373,6 @@ class HurwitzSeries:
             "orderX": self.order,
             "coeffs": [format_scalar(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, payload):
-        domain = Domain(payload["domain"])
-        coeffs = [parse_scalar(c, domain) for c in payload["coeffs"]]
-        series = cls(coeffs, domain)
-        if series.order != payload["orderX"]:
-            raise OrderMismatchError(
-                f"orderX {payload['orderX']} does not match {series.order} coefficients"
-            )
-        return series
 
 
 def mul_truncating(a, b):

@@ -203,24 +203,22 @@ def interaction_recurrence(rng, pairs=30, order_t=6, order=16):
         seq_f = autonomous_sequence(f, order_t)
         seq_g = autonomous_sequence(g, order_t)
         witnesses = sum_interaction_terms(seq_f, seq_g)
-        for w in witnesses:
-            n = w.index
+        for n, h in enumerate(witnesses, start=1):
             direct = seq_sum.terms[n] - seq_f.terms[n] - seq_g.terms[n]
-            if direct != w.series:
+            if direct != h:
                 return _fail(name, f"witness {n} broke on pair {i}")
         h2 = mul_truncating(f, g.derivative()) + mul_truncating(g, f.derivative())
-        if witnesses[1].series != h2:
+        if witnesses[1] != h2:
             return _fail(name, f"H_2 closed form broke on pair {i}")
     zero = HurwitzSeries.zeros(order)
     f = random_polynomial_series(rng, order, 3)
     seq_f = autonomous_sequence(f, order_t)
-    for w in sum_interaction_terms(seq_f, autonomous_sequence(zero, order_t)):
-        if not w.series.is_zero():
+    for h in sum_interaction_terms(seq_f, autonomous_sequence(zero, order_t)):
+        if not h.is_zero():
             return _fail(name, "interaction with the zero field is not zero")
-    for w in sum_interaction_terms(seq_f, seq_f):
-        expected = seq_f.terms[w.index].scale(2 ** w.index - 2)
-        if w.series != expected:
-            return _fail(name, f"H_n(f, f) != (2^n - 2) A_n at n={w.index}")
+    for n, h in enumerate(sum_interaction_terms(seq_f, seq_f), start=1):
+        if h != seq_f.terms[n].scale(2**n - 2):
+            return _fail(name, f"H_n(f, f) != (2^n - 2) A_n at n={n}")
     return _ok(name, f"{pairs} pairs, witnesses to n={order_t}")
 
 

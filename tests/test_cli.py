@@ -6,10 +6,10 @@ import math
 import pytest
 
 from flowring import cli
-from flowring.autonomous import AutonomousSequence
 from flowring.cli import main
 from flowring.expr import series_from_text
 from flowring.flow import flow_series
+from flowring.scalars import Domain, parse_scalar
 
 
 def run_cli(*argv):
@@ -116,6 +116,68 @@ GOLDEN = {
         ["eval", "--field=x+sin(10^300*x)", "--x=10", "--t=0.01"],
         2, "6eed15efdb408c62bb9cd8ac1614f0a0caf6bb1e4e9feb3c1cb8183b12034a06",
     ),
+    # decompose in both modes, both formats and the Gaussian domain
+    "decompose-sum-text": (
+        ["decompose", "--mode=sum", "--part=1", "--part=-x", "--part=x^2", "--part=-x^3",
+         "--order-x=10", "--order-t=6"],
+        0, "cc15d123efb26f82b876495e6395f6067e463c9add05ca5cecc5d425db83107f",
+    ),
+    "decompose-sum-json": (
+        ["decompose", "--mode=sum", "--part=1", "--part=-x", "--part=x^2",
+         "--order-x=10", "--order-t=6", "--format=json"],
+        0, "e988c2c66660759673b8607afdb7d2906f17d48e0f949421cdec1a458b85c1b5",
+    ),
+    "decompose-product-text": (
+        ["decompose", "--mode=product", "--part=1-x", "--part=x^2+1",
+         "--order-x=10", "--order-t=5"],
+        0, "1d35dd26452e5fa865eaaee047b972faf63a3bed7cb413a1f55986c197b9de4c",
+    ),
+    "decompose-product-json": (
+        ["decompose", "--mode=product", "--part=1-x", "--part=x^2+1",
+         "--order-x=10", "--order-t=5", "--format=json"],
+        0, "fb1739837fc717a252ab41a2e0371edd63439c937728cee65e674534422cedfb",
+    ),
+    "decompose-gaussian": (
+        ["decompose", "--mode=sum", "--part=exp(i*x)", "--part=-1/2*i*x", "--domain=gaussian",
+         "--order-x=10", "--order-t=5"],
+        0, "fcc587f22d1a16365c8e8d0510a4b779273023591d14a2e3d588fd75bea661b0",
+    ),
+    # decompose's order flags and its required --part
+    "decompose-without-part": (
+        ["decompose", "--mode=sum"],
+        3, "4fd253eb88d10ad7c304b2a6901dbf25bfd33f8f82a273e9cb817e83d4a37c4d",
+    ),
+    "decompose-order-x-99": (
+        ["decompose", "--mode=sum", "--part=x", "--order-x=99"],
+        3, "1e69c0a9e079af13aa85a3bd36e9fd16ef1c1886c1bf1770062fd1e56fa3f9bc",
+    ),
+    "decompose-order-t-above-order-x": (
+        ["decompose", "--mode=sum", "--part=x", "--order-x=4", "--order-t=5"],
+        3, "7f63af4fdf65b325673d3b67b32b5641831ed4268e4818d8d05b21c924ebac41",
+    ),
+    # one usage error from each exception class that main reports with exit 3
+    "usage-error-flag-value": (
+        ["eval", "--field=x", "--x=0.1", "--t=abc"],
+        3, "41420389bbb98e46f7705d5de459d278de5da0c3746ccbae089411f67b234d83",
+    ),
+    "usage-error-scalar-literal": (
+        ["bell-debug", "--n", "2", "--b", "1,y", "--a", "1,1"],
+        3, "22d1aa00b6776ca097d9fe4384aba2b8222ed7e7e3e1f8982ff08d5c57ee0242",
+    ),
+    "usage-error-out-of-range": (
+        ["bell-debug", "--n", "0", "--b", "1", "--a", "1"],
+        3, "7afc2da938e5b9aeff87f6a0066df44d9ea76085534f589737480b0485e1cf34",
+    ),
+    # a Gaussian scalar in the rational domain, even one with zero imaginary part
+    "series-gaussian-scale-in-rational-domain": (
+        ["series", "--field=exp((1+i-i)*x)"],
+        2, "86c513970359062205ec6848e7dcc229f921a708794ab81f0edec64355036985",
+    ),
+    # "2/3" lexes as the exponent; the message says how to divide instead
+    "series-exponent-written-as-division": (
+        ["series", "--field=x^2/3"],
+        1, "9d9f7912f59748c2afa8e399be2dff9589eb1e76c55a7204c4fa51f355052f17",
+    ),
 }
 
 
@@ -154,14 +216,14 @@ def test_flow_json_round_trips_bit_exactly():
     )
     assert code == 0
     payload = json.loads(out)
-    from flowring.scalars import Domain
-
     reference = flow_series(series_from_text("exp(i*x)", 8, Domain.GAUSSIAN), 4)
     assert list(payload) == ["field", "orderT", "tcoeffs"]
     assert payload["tcoeffs"] == reference.to_json_dict()["terms"]
-    as_sequence = {"field": payload["field"], "orderT": payload["orderT"],
-                   "terms": payload["tcoeffs"]}
-    assert AutonomousSequence.from_json_dict(as_sequence) == reference
+    assert payload["orderT"] == 4
+    printed = [payload["field"], *payload["tcoeffs"]]
+    for entry, series in zip(printed, [reference.field, *reference.terms], strict=True):
+        assert entry["domain"] == "gaussian" and entry["orderX"] == series.order
+        assert [parse_scalar(c, Domain.GAUSSIAN) for c in entry["coeffs"]] == list(series.coeffs)
 
 
 def test_eval_reports_closed_form_and_rk4():
@@ -307,6 +369,15 @@ def test_help_shows_how_to_pass_a_leading_minus(capsys, command, flag):
         main([command, "--help"])
     assert exc.value.code == 0
     assert flag in " ".join(capsys.readouterr().out.split())
+
+
+def test_decompose_help_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert _sha256(out) == "a6e32b69c591c050c2a44101da3d13a550b22254cf2105c9c3435f44edc0a68a"
 
 
 def test_verify_command_passes():

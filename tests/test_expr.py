@@ -78,6 +78,17 @@ def test_parse_errors_carry_offsets(text, offset):
     assert exc.value.offset == offset
 
 
+@pytest.mark.parametrize("text, hint", [
+    ("x^2/3", "write 1/3*x^2 to divide"),
+    ("(x+1)^3/2", "write 1/2*(x+1)^3 to divide"),
+    ("x^6/4", "write 1/4*x^6 to divide"),
+])
+def test_fractional_exponent_error_says_how_to_divide(text, hint):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert f"exponent must be a non-negative integer ({hint})" in str(exc.value)
+
+
 def test_parse_error_expected_sets():
     with pytest.raises(ParseError) as exc:
         parse("x + *")
@@ -147,6 +158,9 @@ def test_elaborate_requires_gaussian_for_i():
         series_from_text("i*x", 4)
     with pytest.raises(DomainRequiredError):
         series_from_text("exp(i*x)", 4)
+    for text in ("exp((1+i-i)*x)", "sin(i*i*x)"):
+        with pytest.raises(DomainRequiredError):
+            series_from_text(text, 4)
     assert series_from_text("i*x", 4, Domain.GAUSSIAN).coeffs[1] == GaussianRational(0, 1)
 
 
