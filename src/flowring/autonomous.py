@@ -100,29 +100,38 @@ def autonomous_sequence(f, order_t):
 def autonomous_sequence_bell(f, order_t):
     """The same terms through partitions and Bell polynomial evaluation.
 
-    Term n+1 collects, over every partition of n, the integer partition
-    weight times the product of earlier terms A_m (one factor per part of
-    size m) times the k-th derivative of f, k the partition length.  Every
-    factor is first truncated to A_{n+1}'s honest order N - n; nothing is
-    lost, since coefficient i of a product reads only coefficients <= i of
-    its factors.
+    Term n+1 is Faa di Bruno's sum over the partitions j of n: the integer
+    partition weight times the product P_j of earlier terms A_m (one factor
+    per part of size m) times the k-th derivative of f, k the partition
+    length.  Every factor is first truncated to A_{n+1}'s honest order
+    N - n; nothing is lost, since coefficient i of a product reads only
+    coefficients <= i of its factors.  Each P_j is formed once, as A_L times
+    P_j' truncated, where L is the largest part of j and j' the partition
+    of n - L left without it; the weighted products of each length k are
+    summed before their one multiplication by f^(k).
     """
     _check_depth(f, order_t)
     derivs = [f]
     for _ in range(order_t - 1):
         derivs.append(derivs[-1].derivative())
     terms = [HurwitzSeries.x(f.order, f.domain), f]
+    products = {}  # P_j by multiplicity vector j
     for n in range(1, order_t):
         order = f.order - n
         low = [t.truncate(order) for t in terms]
-        acc = None
+        by_length = {}
         for j in iter_partitions(n):
-            prod = derivs[sum(j)].truncate(order)
-            for m, jm in enumerate(j, start=1):
-                for _ in range(jm):
-                    prod = prod * low[m]
-            monomial = prod.scale(partition_weight(j))
-            acc = monomial if acc is None else acc + monomial
+            largest = n - next(i for i, jm in enumerate(reversed(j)) if jm)
+            rest = (*j[: largest - 1], j[largest - 1] - 1, *j[largest:])[: n - largest]
+            prod = low[largest] * products[rest].truncate(order) if rest else low[largest]
+            products[j] = prod
+            weighted = prod.scale(partition_weight(j))
+            k = sum(j)
+            by_length[k] = weighted + by_length[k] if k in by_length else weighted
+        acc = None
+        for k, weighted in by_length.items():
+            term = derivs[k].truncate(order) * weighted
+            acc = term if acc is None else acc + term
         terms.append(acc)
     return AutonomousSequence(f, terms)
 

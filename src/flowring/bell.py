@@ -24,27 +24,33 @@ MAX_PARTITION_SIZE = 64
 
 
 def iter_partitions(n):
-    """Yield the multiplicity vectors of the partitions of n, lexicographically."""
+    """Yield the multiplicity vectors of the partitions of n, lexicographically.
+
+    The first is (0, .., 0, 1).  The successor raises the last j_p that
+    can grow, with tail = sum_{h>p} h j_h the amount above it: by one when
+    the tail left after one more p, tail - p, still exceeds p (it becomes
+    the single part j_{tail-p} = 1), else all the way to j_p + tail / p
+    when p divides the tail, which leaves nothing above p.
+    """
     if n < 1 or n > MAX_PARTITION_SIZE:
         raise OutOfRangeError(f"partitions({n}) is out of range 1..{MAX_PARTITION_SIZE}")
-
-    def rec(prefix, part, remaining):
-        if part > n:
-            if remaining == 0:
-                yield tuple(prefix)
+    j = [0] * (n + 1)  # j[p] counts the parts of size p; j[0] is unused
+    j[n] = 1
+    while True:
+        yield tuple(j[1:])
+        tail = 0
+        for p in range(n, 0, -1):
+            if tail - p > p or (tail and tail % p == 0):
+                break
+            tail += p * j[p]
+        else:
             return
-        if remaining == 0:
-            yield tuple(prefix) + (0,) * (n - part + 1)
-            return
-        if part > remaining:
-            # no part of this size or larger fits
-            return
-        for count in range(remaining // part + 1):
-            prefix.append(count)
-            yield from rec(prefix, part + 1, remaining - count * part)
-            prefix.pop()
-
-    yield from rec([], 1, n)
+        j[p + 1 :] = [0] * (n - p)
+        if tail - p > p:
+            j[p] += 1
+            j[tail - p] = 1
+        else:
+            j[p] += tail // p
 
 
 def partitions(n):

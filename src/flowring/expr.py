@@ -193,8 +193,8 @@ class _Parser:
         if self.peek().kind == "caret":
             self.advance()
             tok = self.expect("number", ("non-negative integer exponent",))
-            if tok.value.denominator != 1:
-                # "p/q" lexes as one literal, so x^2/3 reads as x^(2/3)
+            if "/" in tok.text:
+                # "p/q" lexes as one literal, so x^2/3 would read as x^(2/3) and x^4/2 as x^2
                 p, q = tok.text.split("/")
                 raise ParseError(
                     "exponent must be a non-negative integer "
@@ -231,6 +231,8 @@ class _Parser:
 def _describe(tok):
     if tok.kind == "end":
         return "end of input"
+    if tok.kind == "number":
+        return f"token {tok.text}"
     return f"token {tok.value!r}"
 
 

@@ -10,19 +10,20 @@ Flows add and multiply through their generating fields, with units x
 The semigroup and derivation checks expand both sides of the respective
 identities as truncated bivariate series whose coefficients are x-series.
 Substituting a flow-like series Phi into an x-series is one integer-matrix
-kernel, ``_FlowPowers``.  Phi's entries are scaled once to integers over
-one common denominator D, and its powers Phi^k are formed once each, over
-D^k, by a 2-D binomial convolution on ints (the t-binomials from
-``hurwitz.binomial_rows``, the x-convolution by ``hurwitz._convolve_parts``).
-A composition outer(Phi) is then the linear combination of those powers
-with the ordinary coefficients of outer (Brent and Kung, JACM 1978), and
-``Fraction``s are built only for the rows handed back; the semigroup check
-forms the powers once and reuses them for every A_q.  A composition
-coefficient at t-degree p is honest only to x-order K - p when the outer
-series is truncated at K (each degree in t consumes one x-order of the
-outer series), and the kernel cuts every row to that bound.  Comparisons
-go through HurwitzSeries.agrees_with, over the indices both sides
-honestly know, never over fabricated tails.
+kernel, ``_FlowPowers``.  Phi's integer numerators are brought once to
+the lcm D of its rows' denominators, and its powers Phi^k are formed once
+each, over D^k, by a 2-D binomial convolution on ints (the t-binomials
+from ``hurwitz.binomial_rows``, the x-convolution by
+``hurwitz._convolve_parts``).  A composition outer(Phi) is then the linear
+combination of those powers with the ordinary coefficients of outer
+(Brent and Kung, JACM 1978), and each row handed back is one series over
+one denominator; the semigroup check forms the powers once and reuses
+them for every A_q.  A composition coefficient at t-degree p is honest
+only to x-order K - p when the outer series is truncated at K (each
+degree in t consumes one x-order of the outer series), and the kernel
+cuts every row to that bound.  Comparisons go through
+HurwitzSeries.agrees_with, over the indices both sides honestly know,
+never over fabricated tails.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from .expr import Exp, polynomial_coefficients
 from .hurwitz import (
     HurwitzSeries,
     _convolve_parts,
-    _from_parts,
-    _integer_parts,
     binomial_rows,
     mul_truncating,  # unused here; perfbench's tracer test wraps flow.mul_truncating
 )
@@ -95,10 +94,10 @@ class CheckReport:
 class _FlowPowers:
     """Powers Phi^0, Phi^1, ... of a flow-like series, as integer matrices.
 
-    ``inner`` lists the x-series coefficients of t^p/p!.  Its entries are
-    scaled once to integers over their common denominator D, so Phi^k is
-    an integer matrix over D^k: row p is the part vector ([m], or [re, im]
-    in the Gaussian domain) of the coefficient of t^p/p!, cut to x-order
+    ``inner`` lists the x-series coefficients of t^p/p!.  Their numerators
+    are scaled once to the lcm D of their denominators, so Phi^k is an
+    integer matrix over D^k: row p is the part vector ([m], or [re, im] in
+    the Gaussian domain) of the coefficient of t^p/p!, cut to x-order
     top - p, and rows stop at t-degree cap.  Powers are formed on demand,
     Phi^k = Phi^(k-1) * Phi by the 2-D binomial convolution, and kept for
     every later composition.
@@ -111,11 +110,14 @@ class _FlowPowers:
         self.top = top
         # an x-coefficient at t-degree p is known to the smallest order of inner[0..p]
         self.bounds = list(accumulate((s.order for s in inner), min))
-        rows = [s.coeffs[: top - p + 1] for p, s in enumerate(inner[: self.cap + 1])]
-        parts, self.d = _integer_parts([c for row in rows for c in row], self.domain)
-        starts = list(accumulate((len(row) for row in rows), initial=0))
-        phi = [[part[a:b] for part in parts] for a, b in zip(starts, starts[1:])]
-        unit = [[1] + [0] * (len(rows[0]) - 1)] + [[0] * len(rows[0])] * (len(parts) - 1)
+        rows = inner[: self.cap + 1]
+        self.d = math.lcm(*[s.den for s in rows])
+        phi = [
+            [[m * (self.d // s.den) for m in part[: top - p + 1]] for part in s.parts]
+            for p, s in enumerate(rows)
+        ]
+        width = len(phi[0][0])
+        unit = [[1] + [0] * (width - 1)] + [[0] * width] * (len(phi[0]) - 1)
         self.powers = [[unit], phi]
 
     def _times_phi(self, u):
@@ -150,7 +152,7 @@ class _FlowPowers:
             raise OrderExhaustedError(
                 f"composing to t-degree {rows - 1} needs an outer order and a cap >= it"
             )
-        weights, e = _integer_parts(outer.to_polynomial(), self.domain)
+        weights, e = outer.ordinary_parts()
         used = [k for k in range(k_top + 1) if any(w[k] for w in weights)]
         last = used[-1] if used else 0
         while len(self.powers) <= last:
@@ -174,7 +176,7 @@ class _FlowPowers:
                         [a + u * r - v * i for a, r, i in zip(acc[0], re, im)],
                         [b + u * i + v * r for b, r, i in zip(acc[1], re, im)],
                     ]
-            out.append(HurwitzSeries(_from_parts(acc, den), self.domain))
+            out.append(HurwitzSeries.from_integers(acc, den, self.domain))
         return out
 
 

@@ -8,19 +8,26 @@ differentiation shortens the result by one index, and nothing ever pads
 with fabricated zeros.  Use ``truncate`` to trim deliberately and the
 ``*_truncating`` helpers to combine series of different honest lengths.
 
-The coefficients are stored as ``Fraction`` (or ``GaussianRational``)
-values, but ``*`` and ``inverse`` do their arithmetic on integers, the
-layout of FLINT's ``fmpq_poly``: each operand is scaled once to integer
-numerators over the lcm of its denominators (a Gaussian series scales its
-real and imaginary numerators over one shared denominator), the binomial
-convolution runs on plain ints with binomials read from a module-level
-table of Pascal rows, and each output coefficient becomes exactly one
-normalised ``Fraction``.  One helper, ``_convolve_parts``, holds the
-product rule on integer part vectors ([m], or [re, im] with three real
-convolutions); ``*`` and the flow composition kernel in ``flow`` both call
-it, together with ``_integer_parts`` and ``_from_parts`` for the way in and
-out.  A Gaussian ``inverse`` goes through the rational one by conjugation.
-Results are the same canonical values the scalar arithmetic would give.
+A series is stored the way FLINT's ``fmpq_poly`` stores a polynomial:
+integer numerators over one positive denominator D, a_n = m_n / D, in
+canonical form, gcd(D, m_0, .., m_N) = 1.  ``parts`` holds the numerator
+vectors as int lists that nothing changes after construction, (m,) in the
+rational domain and (re, im) over the one shared D in the Gaussian
+domain.  Lists, not tuples: CPython keeps up to 2000 freed tuples of each
+length below 20 for reuse, and short-lived series would pin megabytes
+there; for the same reason tuples here are built from lists, never from
+generators (such a tuple is resized after it is allocated and is freed
+to another length's cache).  Every operation works on these ints and
+reduces its result with one gcd, not one per coefficient.  The binomial
+convolution ``*`` runs on plain ints with binomials read from a
+module-level table of Pascal rows; ``_convolve_parts`` holds that product
+rule (three real convolutions for a Gaussian product), and the flow
+composition kernel in ``flow`` calls it too.  A Gaussian ``inverse`` goes
+through the rational one by conjugation.  ``coeffs`` is a read-only view
+of the entries as ``Fraction`` (or ``GaussianRational``) values, built on
+first use and cached; since the stored form is canonical, ``==`` and
+``hash`` compare the parts directly and keep the meaning of entrywise
+equality.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from operator import add, mul, sub
 
 from .errors import (
@@ -58,22 +66,25 @@ def binomial_rows(order):
     return _ROWS
 
 
-def _common_denominator(values):
-    """Integers m_k and the lcm D of the denominators, with values[k] == m_k / D."""
-    dens = [v.denominator for v in values]
-    d = math.lcm(*dens)
-    return [v.numerator * (d // q) for v, q in zip(values, dens)], d
+def _reduce(parts, den):
+    """Canonical (parts, den) for the values parts / den: den > 0, gcd 1.
+
+    ``parts`` holds lists of ints, which are kept when already reduced.
+    """
+    g = math.gcd(den, *parts[0], *parts[-1])  # parts[-1] is parts[0] when rational
+    if den < 0:
+        g = -g
+    if g != 1:
+        parts = [[m // g for m in part] for part in parts]
+        den //= g
+    return tuple(parts), den
 
 
-def _integer_parts(coeffs, domain):
-    """Integer part vectors over one denominator: ([m], D) or ([re, im], D)."""
-    if domain is Domain.RATIONAL:
-        nums, d = _common_denominator(coeffs)
-        return [nums], d
-    re = [c.re if isinstance(c, GaussianRational) else c for c in coeffs]
-    im = [c.im if isinstance(c, GaussianRational) else 0 for c in coeffs]
-    nums, d = _common_denominator(re + im)
-    return [nums[: len(coeffs)], nums[len(coeffs) :]], d
+def _entries(parts, den):
+    """Scalars part / den: ``Fraction``s from (m,), ``GaussianRational``s from (re, im)."""
+    if len(parts) == 1:
+        return tuple([Fraction(m, den) for m in parts[0]])
+    return tuple([GaussianRational(Fraction(r, den), Fraction(i, den)) for r, i in zip(*parts)])
 
 
 def _dot(row, x, y_reversed):
@@ -103,18 +114,23 @@ def _convolve_parts(x, y):
     return [list(map(sub, rr, ii)), [m - r - i for r, i, m in zip(rr, ii, mixed)]]
 
 
-def _from_parts(parts, d):
-    """Scalars part / d: ``Fraction``s from [m], ``GaussianRational``s from [re, im]."""
-    if len(parts) == 1:
-        return [Fraction(m, d) for m in parts[0]]
-    return [GaussianRational(Fraction(r, d), Fraction(i, d)) for r, i in zip(*parts)]
+def _pointwise(x, y):
+    """Entrywise product of integer part vectors, [m] or Gaussian [re, im]."""
+    if len(x) == 1:
+        return [list(map(mul, x[0], y[0]))]
+    (a, b), (c, d) = x, y
+    return [
+        [p * r - q * s for p, q, r, s in zip(a, b, c, d)],
+        [p * s + q * r for p, q, r, s in zip(a, b, c, d)],
+    ]
 
 
-def _saturating_float(value):
+def _saturating_div(m, q):
+    """The double nearest m / q (q > 0), or a signed infinity beyond the double range."""
     try:
-        return float(value)
+        return m / q
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return math.inf if m > 0 else -math.inf
 
 
 class HurwitzSeries:
@@ -132,40 +148,54 @@ class HurwitzSeries:
     new series, so instances are safe to share across threads.
     """
 
-    __slots__ = ("coeffs", "domain")
+    __slots__ = ("parts", "den", "domain", "_coeffs")
 
     def __init__(self, coeffs, domain):
-        coeffs = tuple(coeffs)
-        if not coeffs:
+        """A series from scalars, each coerced into ``domain``."""
+        values = [domain.coerce(c) for c in coeffs]
+        if not values:
             raise OutOfRangeError("a series needs at least one coefficient")
-        self.coeffs = coeffs
+        if domain is Domain.GAUSSIAN:
+            values = [[v.re for v in values], [v.im for v in values]]
+        else:
+            values = [values]
+        # the lcm of reduced denominators leaves every prime factor uncancelled
+        den = math.lcm(*[q.denominator for part in values for q in part])
+        self.parts = tuple([[q.numerator * (den // q.denominator) for q in part] for part in values])
+        self.den = den
         self.domain = domain
+        self._coeffs = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def make(cls, values, domain=Domain.RATIONAL):
         """Build a series, coercing each entry into ``domain``."""
-        return cls([domain.coerce(v) for v in values], domain)
+        return cls(values, domain)
+
+    @classmethod
+    def from_integers(cls, parts, den, domain):
+        """The series parts / den, for int lists (m,) or (re, im) and an int den != 0."""
+        series = object.__new__(cls)
+        (series.parts, series.den), series.domain, series._coeffs = _reduce(parts, den), domain, None
+        return series
 
     @classmethod
     def zeros(cls, order, domain=Domain.RATIONAL):
-        zero = domain.zero()
-        return cls([zero] * (order + 1), domain)
+        return cls([0] * (order + 1), domain)
 
     @classmethod
     def constant(cls, value, order, domain=Domain.RATIONAL):
-        coeffs = [domain.coerce(value)] + [domain.zero()] * order
-        return cls(coeffs, domain)
+        return cls([value] + [0] * order, domain)
 
     @classmethod
     def x(cls, order, domain=Domain.RATIONAL):
         """The identity series x, coefficients (0, 1, 0, ...)."""
         if order < 1:
             raise OutOfRangeError("the series x needs order >= 1")
-        coeffs = [domain.zero()] * (order + 1)
-        coeffs[1] = domain.one()
-        return cls(coeffs, domain)
+        nums = [0, 1] + [0] * (order - 1)
+        parts = [nums] if domain is Domain.RATIONAL else [nums, [0] * (order + 1)]
+        return cls.from_integers(parts, 1, domain)
 
     @classmethod
     def exp(cls, base, order, domain=None):
@@ -194,35 +224,42 @@ class HurwitzSeries:
     # -- basic views ---------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The entries a_0 .. a_N as scalars of the domain (read-only, cached)."""
+        if self._coeffs is None:
+            self._coeffs = _entries(self.parts, self.den)
+        return self._coeffs
+
+    @property
     def order(self):
-        return len(self.coeffs) - 1
+        return len(self.parts[0]) - 1
+
+    def ordinary_parts(self):
+        """Canonical (parts, den) of the ordinary coefficients a_k / k!."""
+        n = self.order
+        ratios = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]  # n! / k!
+        return _reduce([list(map(mul, part, ratios)) for part in self.parts], self.den * ratios[0])
 
     def to_polynomial(self):
         """Ordinary coefficients a_k / k! of the truncated series."""
-        out = []
-        fact = 1
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                fact *= k
-            out.append(c / fact)
-        return out
+        return list(_entries(*self.ordinary_parts()))
 
     def is_zero(self):
-        return all(not c for c in self.coeffs)
+        return not any(map(any, self.parts))
 
     def __repr__(self):
         shown = " ".join(format_scalar(c) for c in self.coeffs[:8])
-        if len(self.coeffs) > 8:
+        if self.order >= 8:
             shown += " ..."
         return f"HurwitzSeries[{self.domain.value}, N={self.order}]({shown})"
 
     def __eq__(self, other):
         if not isinstance(other, HurwitzSeries):
             return NotImplemented
-        return self.domain is other.domain and self.coeffs == other.coeffs
+        return self.domain is other.domain and self.den == other.den and self.parts == other.parts
 
     def __hash__(self):
-        return hash((self.coeffs, self.domain))
+        return hash((self.den, self.domain, *map(tuple, self.parts)))
 
     def _check(self, other):
         if not isinstance(other, HurwitzSeries):
@@ -231,50 +268,61 @@ class HurwitzSeries:
             raise DomainMismatchError(
                 f"domains differ: {self.domain.value} vs {other.domain.value}"
             )
-        if len(self.coeffs) != len(other.coeffs):
+        if self.order != other.order:
             raise OrderMismatchError(
                 f"orders differ: {self.order} vs {other.order}"
             )
 
     # -- ring operations -----------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """Entrywise ``op`` over the common denominator of the two series."""
         self._check(other)
-        return HurwitzSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.domain
-        )
+        da, db = self.den, other.den
+        pairs = zip(self.parts, other.parts)
+        if da == db:
+            return self.from_integers([list(map(op, x, y)) for x, y in pairs], da, self.domain)
+        g = math.gcd(da, db)
+        ua, ub = db // g, da // g
+        parts = [[op(a * ua, b * ub) for a, b in zip(x, y)] for x, y in pairs]
+        return self.from_integers(parts, da * ua, self.domain)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        self._check(other)
-        return HurwitzSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.domain
-        )
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return HurwitzSeries([-a for a in self.coeffs], self.domain)
+        return self.from_integers([[-m for m in part] for part in self.parts], self.den, self.domain)
 
     def __mul__(self, other):
-        """Binomial convolution, computed on integers over one denominator.
+        """Binomial convolution, on the integer numerators.
 
         With a_k = x_k / D_a and b_k = y_k / D_b, the n-th coefficient is
         S_n / (D_a D_b) where S_n = sum_k C(n, k) x_k y_{n-k} is an exact
-        int sum; it becomes one ``Fraction`` (a ``GaussianRational`` of two
-        in the Gaussian domain), so entries are always of the domain's type.
+        int sum; one gcd brings the result to canonical form.
         """
         self._check(other)
-        x, dx = _integer_parts(self.coeffs, self.domain)
-        y, dy = _integer_parts(other.coeffs, other.domain)
-        return HurwitzSeries(_from_parts(_convolve_parts(x, y), dx * dy), self.domain)
+        parts = _convolve_parts(self.parts, other.parts)
+        return self.from_integers(parts, self.den * other.den, self.domain)
 
     def hadamard(self, other):
         self._check(other)
-        return HurwitzSeries(
-            [a * b for a, b in zip(self.coeffs, other.coeffs)], self.domain
-        )
+        parts = _pointwise(self.parts, other.parts)
+        return self.from_integers(parts, self.den * other.den, self.domain)
 
     def scale(self, value):
         value = self.domain.coerce(value)
-        return HurwitzSeries([value * a for a in self.coeffs], self.domain)
+        if self.domain is Domain.RATIONAL:
+            factor, q = [value.numerator], value.denominator
+        else:
+            re, im = value.re, value.im
+            q = math.lcm(re.denominator, im.denominator)
+            factor = [re.numerator * (q // re.denominator), im.numerator * (q // im.denominator)]
+        size = len(self.parts[0])
+        parts = _pointwise(self.parts, [[u] * size for u in factor])
+        return self.from_integers(parts, self.den * q, self.domain)
 
     def inverse(self):
         """Inverse under ``*``, by a fraction-free recurrence on integers.
@@ -282,33 +330,35 @@ class HurwitzSeries:
         With a_k = A_k / D and c = A_0, the inverse is b_n = D P_n / c^(n+1)
         where P_0 = 1 and P_n = -sum_{h=1..n} C(n, h) A_h P_{n-h} c^(h-1),
         the recurrence b_n = -(1/a_0) sum C(n, h) a_h b_{n-h} cleared of
-        denominators.  Every P_n is an integer, so each coefficient costs a
-        single division.  A Gaussian a is inverted as conj(a) (a conj(a))^-1:
-        coefficientwise conjugation is a ring automorphism of ``*``, so
-        a conj(a) is rational with leading coefficient |a_0|^2 != 0.
+        denominators.  Every P_n is an integer, so the whole inverse is
+        D P_n c^(N-n) over c^(N+1), reduced by one gcd.  A Gaussian a is
+        inverted as conj(a) (a conj(a))^-1: coefficientwise conjugation is a
+        ring automorphism of ``*``, so a conj(a) is rational with leading
+        coefficient |a_0|^2 != 0.
         """
-        if not self.coeffs[0]:
+        if not any(part[0] for part in self.parts):
             raise NotAUnitError("leading coefficient is zero; no inverse under *")
         if self.domain is Domain.GAUSSIAN:
-            conj = HurwitzSeries([c.conjugate() for c in self.coeffs], self.domain)
+            re, im = self.parts
+            conj = self.from_integers((re, [-m for m in im]), self.den, self.domain)
             real = (self * conj).to_domain(Domain.RATIONAL)
             return conj * real.inverse().to_domain(self.domain)
         rows = binomial_rows(self.order)
-        (a,), d = _integer_parts(self.coeffs, self.domain)
+        (a,), d = self.parts, self.den
         c = a[0]
         ac = [a[h] * c ** (h - 1) for h in range(1, len(a))]  # A_h c^(h-1)
         p = [1]
         for n in range(1, len(a)):
             p.append(-_dot(rows[n][1:], ac, p[::-1]))
-        return HurwitzSeries(
-            [Fraction(d * pn, c ** (n + 1)) for n, pn in enumerate(p)], self.domain
-        )
+        cpow = list(accumulate([c] * self.order, mul, initial=1))  # c^0 .. c^N
+        nums = [d * pn * cn for pn, cn in zip(p, reversed(cpow))]
+        return self.from_integers([nums], cpow[-1] * c, self.domain)
 
     def derivative(self):
         """Left shift (a_{n+1}); the order shrinks by one."""
         if self.order == 0:
             raise OrderExhaustedError("cannot differentiate an order-0 series")
-        return HurwitzSeries(self.coeffs[1:], self.domain)
+        return self.from_integers([part[1:] for part in self.parts], self.den, self.domain)
 
     def truncate(self, order):
         """Drop coefficients above ``order``; never extends."""
@@ -320,46 +370,45 @@ class HurwitzSeries:
             return self
         if order < 0:
             raise OutOfRangeError("truncation order must be >= 0")
-        return HurwitzSeries(self.coeffs[: order + 1], self.domain)
+        parts = [part[: order + 1] for part in self.parts]
+        return self.from_integers(parts, self.den, self.domain)
 
     def agrees_with(self, other):
         """Equality over the indices both sides honestly know."""
         if self.domain is not other.domain:
             return False
-        m = min(len(self.coeffs), len(other.coeffs))
-        return self.coeffs[:m] == other.coeffs[:m]
+        da, db = self.den, other.den
+        return all(
+            a * db == b * da for x, y in zip(self.parts, other.parts) for a, b in zip(x, y)
+        )
 
     def to_domain(self, domain):
         """Move between domains; dropping to rational requires real entries."""
         if domain is self.domain:
             return self
         if domain is Domain.GAUSSIAN:
-            return HurwitzSeries([GaussianRational(c, 0) for c in self.coeffs], domain)
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, GaussianRational):
-                if c.im != 0:
-                    raise DomainMismatchError(f"coefficient {format_scalar(c)} is not real")
-                c = c.re
-            out.append(c)
-        return HurwitzSeries(out, domain)
+            re = self.parts[0]
+            return self.from_integers((re, [0] * len(re)), self.den, domain)
+        re, im = self.parts
+        for k, m in enumerate(im):
+            if m:
+                raise DomainMismatchError(f"coefficient {format_scalar(self.coeffs[k])} is not real")
+        return self.from_integers((re,), self.den, domain)
 
     # -- evaluation ----------------------------------------------------
 
     def eval_at(self, point):
         """Floating-point value of the truncated series at ``point``.
 
-        Sums the ordinary coefficients a_n / n! of ``to_polynomial``, each
-        as a double, Horner style; rational series at a real point yield a
-        float, anything else a complex.  Values beyond double range become
-        IEEE infinities rather than raising.
+        Sums the ordinary coefficients a_n / n!, each the double nearest
+        its exact value (one int division), Horner style; rational series
+        at a real point yield a float, anything else a complex.  Values
+        beyond double range become IEEE infinities rather than raising.
         """
-        terms = []
-        for exact in self.to_polynomial():
-            if isinstance(exact, GaussianRational):
-                terms.append(complex(_saturating_float(exact.re), _saturating_float(exact.im)))
-            else:
-                terms.append(_saturating_float(exact))
+        parts, den = self.ordinary_parts()
+        terms = [_saturating_div(m, den) for m in parts[0]]
+        if len(parts) == 2:
+            terms = [complex(r, _saturating_div(i, den)) for r, i in zip(terms, parts[1])]
         acc = terms[-1]
         for b in reversed(terms[:-1]):
             acc = acc * point + b

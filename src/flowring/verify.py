@@ -545,17 +545,11 @@ def example_cubic(order_t=8, order=16):
 # -- bell oracles -------------------------------------------------------
 
 
-def _count_set_partitions(n):
-    # restricted growth strings, counted recursively
-    def rec(k, used):
-        if k == n:
-            return 1
-        total = 0
-        for b in range(used + 1):
-            total += rec(k + 1, used + (1 if b == used else 0))
-        return total
-
-    return rec(0, 0)
+def _count_set_partitions(n, k=0, used=0):
+    """Restricted growth strings of length n, extended from position k with ``used`` blocks."""
+    if k == n:
+        return 1
+    return sum(_count_set_partitions(n, k + 1, used + (b == used)) for b in range(used + 1))
 
 
 def bell_numbers():

@@ -22,7 +22,7 @@ from flowring.errors import (
 from flowring.expr import series_from_text
 from flowring.hurwitz import HurwitzSeries, add_truncating, mul_truncating
 from flowring.scalars import Domain, GaussianRational, parse_scalar
-from flowring.verify import random_polynomial_series
+from flowring.verify import random_polynomial_series, random_series
 
 
 def test_identity_field_gives_constant_sequence():
@@ -55,6 +55,14 @@ def test_bell_path_matches_product_path():
     for _ in range(10):
         f = random_polynomial_series(rng, 12, 4)
         assert autonomous_sequence(f, 6) == autonomous_sequence_bell(f, 6)
+
+
+@pytest.mark.parametrize("domain", list(Domain))
+def test_bell_path_matches_product_path_through_order_12(domain):
+    rng = random.Random(11)
+    for order_t in range(1, 13):
+        f = random_series(rng, 14, domain)
+        assert autonomous_sequence_bell(f, order_t) == autonomous_sequence(f, order_t)
 
 
 def test_bell_path_display_forms():

@@ -40,6 +40,17 @@ def test_partitions_are_valid_multiplicity_vectors():
         assert len(seen) == len(partitions(n))
 
 
+PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627]
+
+
+def test_partitions_are_every_partition_in_increasing_lexicographic_order():
+    for n, count in enumerate(PARTITION_COUNTS, start=1):
+        listed = partitions(n)
+        assert all(sum(h * jh for h, jh in enumerate(j, start=1)) == n for j in listed)
+        assert len(set(listed)) == len(listed) == count
+        assert all(a < b for a, b in zip(listed, listed[1:]))
+
+
 def test_partitions_out_of_range():
     with pytest.raises(OutOfRangeError):
         partitions(0)

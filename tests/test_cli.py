@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import math
 import pytest
 
 from flowring import cli
+from flowring.bell import partitions
 from flowring.cli import main
 from flowring.expr import series_from_text
 from flowring.flow import flow_series
@@ -178,6 +180,20 @@ GOLDEN = {
         ["series", "--field=x^2/3"],
         1, "9d9f7912f59748c2afa8e399be2dff9589eb1e76c55a7204c4fa51f355052f17",
     ),
+    # any exponent written with "/" is rejected, also one whose quotient is an integer
+    "series-exponent-division-reducing-to-an-integer": (
+        ["series", "--field=x^4/2"],
+        1, "bef22466e8cdec0f2f106ca4890d68648f5bc0e362f98864ba20d222505f2411",
+    ),
+    "series-zero-exponent-written-as-division": (
+        ["series", "--field=x^0/3"],
+        1, "d181f274d522325a01ea3a8dec16d7eca19091070d64e025e2a215dcb1464f66",
+    ),
+    # a number token is named by its lexeme, "token 2"
+    "series-unexpected-number-token": (
+        ["series", "--field=exp 2"],
+        1, "ef3aba3ac12cc5102022c341255a4d58d014b4c032d064848578eff2e66ff017",
+    ),
 }
 
 
@@ -187,6 +203,34 @@ def test_golden_output_digests(name):
     code, out, err = run_cli(*argv)
     assert code == expected_code
     assert _sha256(f"{code}\n{out}\0{err}") == digest
+
+
+GARBAGE_FREE_RUNS = [
+    ["series", "--field=x^2-1/3*x", "--order-x=10", "--order-t=5", "--format=json"],
+    ["flow", "--field=exp(i*x)", "--domain=gaussian", "--order-x=8", "--order-t=4",
+     "--format=json"],
+    ["eval", "--field=x^2+1", "--x=0.2", "--t=0.3", "--format=json"],
+    ["eval", "--field=-x^3", "--x=0.5", "--t=0.1", "--format=json"],
+    ["decompose", "--mode=product", "--part=x", "--part=1+x", "--order-x=8", "--order-t=4",
+     "--format=json"],
+    ["verify", "--seed=1", "--format=json"],
+]
+
+
+def test_runs_leave_no_cyclic_garbage():
+    """Memory of a long run must not wait for the cyclic collector."""
+    for argv in GARBAGE_FREE_RUNS:  # first runs fill caches such as the parser
+        run_cli(*argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in GARBAGE_FREE_RUNS:
+            code, _, _ = run_cli(*argv)
+            assert code == 0
+        assert len(partitions(12)) == 77
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_series_text_output():

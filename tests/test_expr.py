@@ -82,11 +82,20 @@ def test_parse_errors_carry_offsets(text, offset):
     ("x^2/3", "write 1/3*x^2 to divide"),
     ("(x+1)^3/2", "write 1/2*(x+1)^3 to divide"),
     ("x^6/4", "write 1/4*x^6 to divide"),
+    ("x^4/2", "write 1/2*x^4 to divide"),
+    ("x^0/3", "write 1/3*x^0 to divide"),
 ])
 def test_fractional_exponent_error_says_how_to_divide(text, hint):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert f"exponent must be a non-negative integer ({hint})" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, token", [("exp 2", "2"), ("x 3/4 )", "')'"), ("sin 7/2", "7/2")])
+def test_parse_errors_name_a_number_by_its_lexeme(text, token):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(f"unexpected token {token} at offset")
 
 
 def test_parse_error_expected_sets():

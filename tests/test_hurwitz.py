@@ -269,3 +269,43 @@ def test_json_round_trip():
     assert [parse_scalar(c, Domain.GAUSSIAN) for c in payload["coeffs"]] == list(g.coeffs)
     assert payload["domain"] == "gaussian"
     assert payload["orderX"] == 7
+
+
+def _assert_canonical(series):
+    """Positive denominator, gcd 1 with every numerator, and the view agrees."""
+    assert series.den > 0
+    assert math.gcd(series.den, *(m for part in series.parts for m in part)) == 1
+    assert len(series.parts) == (2 if series.domain is Domain.GAUSSIAN else 1)
+    assert series.coeffs == tuple(
+        series.domain.coerce(Fraction(m, series.den)) if len(series.parts) == 1
+        else GaussianRational(Fraction(m, series.den), Fraction(i, series.den))
+        for m, i in zip(series.parts[0], series.parts[-1])
+    )
+    rebuilt = HurwitzSeries(series.coeffs, series.domain)
+    assert rebuilt == series and hash(rebuilt) == hash(series)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operands(), _entries[Domain.RATIONAL])
+def test_every_operation_keeps_the_canonical_form(operands, factor):
+    a, b = operands
+    domain = a.domain
+    results = [a, b, a + b, a - b, -a, a * b, a.hadamard(b), a.scale(factor),
+               a.scale(a.coeffs[-1]), a.truncate(0), a.to_domain(Domain.GAUSSIAN),
+               HurwitzSeries.from_integers([[m * 6 for m in part] for part in a.parts],
+                                           -6 * a.den, domain)]
+    if a.order:
+        results.append(a.derivative())
+    if domain is Domain.GAUSSIAN:
+        results.append(a.hadamard(b.scale(GaussianRational(0, 1))))
+    else:
+        results.append(a.to_domain(Domain.GAUSSIAN).to_domain(domain))
+    if a.coeffs[0]:
+        results.append(a.inverse())
+    results += [HurwitzSeries.exp(factor, a.order, domain), HurwitzSeries.x(a.order + 1, domain),
+                HurwitzSeries.zeros(a.order, domain), HurwitzSeries.constant(factor, a.order, domain),
+                HurwitzSeries.from_polynomial(a.coeffs, a.order, domain)]
+    for series in results:
+        _assert_canonical(series)
+    assert results[-1].to_polynomial()[: a.order + 1] == list(a.coeffs)
+    assert HurwitzSeries.from_integers(a.parts, a.den, domain) == a
