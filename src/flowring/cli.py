@@ -144,7 +144,7 @@ def _flow_json(seq):
 
 
 def _json_text(value, indent=""):
-    """The text of ``json.dumps(value, indent=2)``, built from ``json.dumps`` of scalars.
+    """The text of ``json.dumps(value, indent=2)`` for string-keyed payloads, from scalar dumps.
 
     The library's indenting encoder is pure Python and leaves a reference
     cycle of closures behind on every call, garbage that only the cyclic
