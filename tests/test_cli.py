@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import io
@@ -16,13 +17,19 @@ from flowring.scalars import Domain, parse_scalar
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
-    code = main(list(argv), out=out, err=err)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv), out=out, err=err)
+        except SystemExit as exc:  # --help prints through argparse, then exits
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
+
+_BEYOND_DOUBLE = "1" + "0" * 310
 
 # SHA-256 of exit code, stdout and stderr of fixed runs, pinning bit-exact
 # output: any change to a printed coefficient or message changes them.
@@ -194,11 +201,286 @@ GOLDEN = {
         ["series", "--field=exp 2"],
         1, "ef3aba3ac12cc5102022c341255a4d58d014b4c032d064848578eff2e66ff017",
     ),
+    # --help of the program and of every command, at COLUMNS=80
+    "help-program": (["--help"], 0, "520b8e81b5f89192123cbfe08a8da73b3d70e3fd93986f57e8852b3c5bd590a5"),
+    "help-series": (["series", "--help"], 0, "3df4bac0d7a84707a97fc2ce5934e9e262ca915d0fe79652bd614697e3b00347"),
+    "help-flow": (["flow", "--help"], 0, "08cd2bc96fed7ab1a300f89464d345a1e9ba7c69010e70357cddc2999fa1ae99"),
+    "help-eval": (["eval", "--help"], 0, "16358063d4fdf793ed6188f165fb50c9629b2847f5aec4d374a6d022d3b71cd5"),
+    "help-decompose": (["decompose", "--help"], 0, "e8b664f461e11cca01d7fda151e9343fb043c6a0021a94d6d908cdd2da28fbc6"),
+    "help-verify": (["verify", "--help"], 0, "367bc2e4a1a062ce419a2cbf05247d96f1068aef4cdd6568196115ea49a8d8bb"),
+    "help-bell-debug": (["bell-debug", "--help"], 0, "7634677bedcb91d4e20e6d083a5638ac70bab07c722a5ba90517358bd458632c"),
+    "help-rk4-debug": (["rk4-debug", "--help"], 0, "5a58f5d76cb4852ec711794281ba755ec3c3037a99ede4a5fb053309f77eda14"),
+    "no-command": ([], 3, "3f06c66bbbffdb3096ad378db2237dd331f4ab98bdaa8bccf737071a7be40108"),
+    # series and flow in both formats and both domains
+    "series-x-text": (["series", "--field=x"], 0, "ddcf9be2154c39aac494cd6ec58eec4dbd64721ab06d8c71071f656d6a54a712"),
+    "series-x-json": (["series", "--field=x", "--format=json"], 0, "48e9e045d5e2b62edfa311b42b506776a29319b488af04cbd5824326253e06fd"),
+    "series-default-orders": (["series", "--field=1+x^2"], 0, "2323a491d539f26c66305e725fafba643fc0645be289c7d1d76f5e92283e23cc"),
+    "series-leading-minus-text": (
+        ["series", "--field=-x", "--order-x=6", "--order-t=3"], 0, "0c5b62cb3fc853b244174d1267a579c7b0a7b80f31eb157ee1df9131c08a95e4",
+    ),
+    "series-leading-minus-json": (
+        ["series", "--field=-x^2+1/3", "--order-x=6", "--order-t=3", "--format=json"],
+        0, "c4f6cf8cd4b7b211ada6e49c3622a3c5a89cbdc16fa6a5713df6014f9225e97e",
+    ),
+    "series-constant": (
+        ["series", "--field=3/2", "--order-x=4", "--order-t=2"], 0, "ffe11862b291cdf51bf1f4669ea1b663aecbcebfec5e558358cc02697acefa63",
+    ),
+    "series-zero-field": (
+        ["series", "--field=0", "--order-x=4", "--order-t=2"], 0, "a227b497e96f1224a391babe9555ad522929ca07a5032d4087bdfcc11428f83f",
+    ),
+    "series-smallest-orders": (
+        ["series", "--field=x^2", "--order-x=1", "--order-t=1"], 0, "dfefd1375fd47d9b306343b1e66a03ec142bfaa438e6f7def8d7ce781608b1d9",
+    ),
+    "series-order-t-equals-order-x": (
+        ["series", "--field=x^2-x", "--order-x=6", "--order-t=6"],
+        0, "bd62a982a71eaf3bc186722fa21f9a59d62b912305017433fe75673dca89d560",
+    ),
+    "series-exp-sin-cos": (
+        ["series", "--field=exp(x)+sin(2*x)-cos(-1/2*x)", "--order-x=8", "--order-t=4"],
+        0, "5682fc5505c52a811bf646a24537228443cf58372501ac1ec3d2415ff54f1164",
+    ),
+    "series-power-of-a-sum": (
+        ["series", "--field=(1+x)^5", "--order-x=8", "--order-t=3"], 0, "7b601c321d32136577719691defbe0172b5b1767aea27895f32609868867ad42",
+    ),
+    "series-adjacency-multiplies": (
+        ["series", "--field=2x(x+1)", "--order-x=6", "--order-t=3"],
+        0, "93eef78e439646028301e8f4f85d3916ac3dd2ab2c6a1a790959985fc00a0df7",
+    ),
+    "series-whitespace": (
+        ["series", "--field= x ^ 2 + 1 ", "--order-x=4", "--order-t=2"], 0, "1ed2698149cfd090708accc6ba2fa1b586823d3051063db5583229141a2e11df",
+    ),
+    "series-gaussian-one-minus-ix": (
+        ["series", "--domain=gaussian", "--field=1-i*x", "--order-x=4", "--order-t=2"],
+        0, "551ef8ed299da876fcc218c9ad61795c34b9f2b3d7a6c34626f6de2ae8fde405",
+    ),
+    "series-gaussian-one-minus-ix-json": (
+        ["series", "--domain=gaussian", "--field=1-i*x", "--order-x=4", "--order-t=2",
+         "--format=json"],
+        0, "e52589c2ff7bec8076f24f5d132db14780d1fb43dafce8aa8de586407678c42c",
+    ),
+    "series-gaussian-adjacent-ix": (
+        ["series", "--domain=gaussian", "--field=ix^2-1/2", "--order-x=5", "--order-t=3"],
+        0, "d71f831a3b3f91ab6f31e4f4133bd97e0b13704939acd1149c906a89cadba337",
+    ),
+    "series-gaussian-real-field": (
+        ["series", "--domain=gaussian", "--field=x^2+1", "--order-x=5", "--order-t=3"],
+        0, "2027090a1e7d6f5053dfae29cb92798307e7a246ec1839d12b570e4926baf77e",
+    ),
+    "series-gaussian-trig": (
+        ["series", "--domain=gaussian", "--field=sin(i*x)+cos(1/2*i*x)", "--order-x=6",
+         "--order-t=3", "--format=json"],
+        0, "7702bbd4e62ce3219925124198a1ebd76d5da656ead3fc15f776f126a12c6b28",
+    ),
+    "series-monomial-x3000000": (
+        ["series", "--field=x^3000000", "--order-x=8", "--order-t=4"],
+        0, "946cf70f31b06b40f24f3fc61ba4653ccd76f6dbfac4ae3f5044278003cf652f",
+    ),
+    "flow-text": (["flow", "--field=x^2", "--order-x=8", "--order-t=4"], 0, "584186e35ba56cdeb15141d60b25f5752816bcb5124f11f7fda0e5d25a043f97"),
+    "flow-json": (
+        ["flow", "--field=1-x", "--order-x=6", "--order-t=3", "--format=json"], 0, "cd3465b3b541019347b3a9720c8d6cd3d82025012a1bbd1772ac7fcb4f73c306",
+    ),
+    "flow-leading-minus": (
+        ["flow", "--field=-x^3", "--order-x=6", "--order-t=3"], 0, "d93467a8577728719e0709357f1d942804b910d6b3d34e737f558bad80843bae",
+    ),
+    "flow-gaussian-json": (
+        ["flow", "--field=exp(i*x)", "--domain=gaussian", "--order-x=8", "--order-t=4",
+         "--format=json"],
+        0, "c12f661e2015af228f2b64847505a84ea91842d2a323a8788d9a972b963c6249",
+    ),
+    # eval beyond the catalog, in the Gaussian domain, and at large exponents
+    "eval-not-in-catalog-text": (
+        ["eval", "--field=x^3+x", "--x=0.2", "--t=0.1"], 0, "93453e93cda8bcee827a60d3b1d399ee4d1dd36c21fac9acfc52f0f650a5ac97",
+    ),
+    "eval-exp-plus-sin-json": (
+        ["eval", "--field=exp(1/2*x)+sin(-1/2*x)", "--x=0.1", "--t=0.2", "--format=json"],
+        0, "823d1641ab1077acfeac1a940dfebf84b5cae4b30b5410d77808c8c5d4e539f6",
+    ),
+    "eval-leading-minus": (["eval", "--field=-x", "--x=1", "--t=0.5"], 0, "230c35da617ed369da0afd7023e0a5bd9558e952dbddbbede352abee61f41b3f"),
+    "eval-gaussian-complex-json": (
+        ["eval", "--field=exp(i*x)", "--domain=gaussian", "--x=0.5", "--t=0.25",
+         "--order-x=24", "--order-t=12", "--format=json"],
+        0, "1b7814306cb9c1884d195b0454115c261670c4cd4d5408f5a5b901305cee480f",
+    ),
+    "eval-gaussian-complex-field": (
+        ["eval", "--field=i*x", "--domain=gaussian", "--x=0.1", "--t=0.1"],
+        0, "2ed5d528d530b994dd74f4fedec33d3f7847e1a29afda5a8c2269dc491d25a7b",
+    ),
+    "eval-gaussian-real-field": (
+        ["eval", "--field=x^2+1", "--domain=gaussian", "--x=0.1", "--t=0.2"],
+        0, "95d5d1e93f202cdedfd47522c575dad3cbf0913402aeb0afe97d6a26a284f5a7",
+    ),
+    "eval-monomial-x30000": (
+        ["eval", "--field=x^30000", "--x=0.1", "--t=0.01"], 0, "bd928ee5269a85d1bd42db5732cc04ccd8978d8fdfa362efbc6c222009b1c967",
+    ),
+    "eval-monomial-x3000000": (
+        ["eval", "--field=x^3000000", "--x=0.1", "--t=0.01"], 0, "2cbf42e01911c93d6abaf1881f2909873482ea78cc426fb982af4ddf91163035",
+    ),
+    # fields on which |series - rk4| exceeds 1e-5: the truncation error at N = 16, M = 12
+    "eval-truncation-gap-quintic": (
+        ["eval", "--field=x^5+2*x^4+x^3+2*x^2+x+2", "--x=0.1691", "--t=0.1464",
+         "--order-x=16", "--order-t=12", "--format=json"],
+        0, "28ab12c02d43642186bf369d33bdfea3d1e8b8012e0a7287ff895d597ccf5f8c",
+    ),
+    "eval-truncation-gap-half-quintic-a": (
+        ["eval", "--field=x^5+2*x^4+1/2*x^3+2*x^2+1/2*x+2", "--x=0.1999", "--t=0.14",
+         "--order-x=16", "--order-t=12", "--format=json"],
+        0, "ae8eafac6270f9ff0c503de5054ac0aaa15b16058bf0a62feb20be79878aa19e",
+    ),
+    "eval-truncation-gap-half-quintic-b": (
+        ["eval", "--field=x^5+2*x^4+1/2*x^3+2*x^2+1/2*x+2", "--x=0.1927", "--t=0.145",
+         "--order-x=16", "--order-t=12", "--format=json"],
+        0, "196c9917c3d6b39c312f6a81d8ab45e8acb16a32e147c2443eca4ea8b58009f0",
+    ),
+    # eval's RK4 takes 512 steps, which no flag changes
+    "eval-steps-64": (
+        ["eval", "--field=x", "--x=0.1", "--t=0.1", "--steps=64"], 0, "6ff322789f6b131df485e325774927f26e2eea402c00af9aa492ab04c7b02f74",
+    ),
+    "eval-steps-8": (
+        ["eval", "--field=x", "--x=0.1", "--t=0.1", "--steps=8"], 3, "c92a695444e115ad75007ce2ef4d2e2d2be427b0ae020b2bc5931b076adafee3",
+    ),
+    # values beyond the double range, and points that are not finite, exit 2
+    "eval-overflow-closed-form-power": (
+        ["eval", "--field=x^2000", "--x=2", "--t=0.01"], 2, "5b56b868ad510ead3b94b769ca1bd3b7c06660801875d3122f778b78e6adecbc",
+    ),
+    "eval-overflow-closed-form-exp": (
+        ["eval", "--field=10^300*x", "--x=0.1", "--t=0.5"], 2, "691e7482f9e7384564acf916c6f2188875456a1660923572675526cb327996a8",
+    ),
+    "eval-overflow-closed-form-param": (
+        ["eval", "--field=(10^200)^2*x", "--x=0.1", "--t=0.5"],
+        2, "691e7482f9e7384564acf916c6f2188875456a1660923572675526cb327996a8",
+    ),
+    "eval-overflow-rk4-constant": (
+        ["eval", f"--field=x^3+x^2+{_BEYOND_DOUBLE}", "--x=0.1", "--t=0.01"],
+        2, "4a7e68e56b8a94fc4835938c7f01a15c0e584fab0543f434c1f9ad5934e4b083",
+    ),
+    "eval-overflow-rk4-cos-scale": (
+        ["eval", f"--field=x+cos({_BEYOND_DOUBLE}*x)", "--x=0.1", "--t=0.01"],
+        2, "4a7e68e56b8a94fc4835938c7f01a15c0e584fab0543f434c1f9ad5934e4b083",
+    ),
+    "eval-overflow-rk4-exp-scale": (
+        ["eval", f"--field=x^3+exp({_BEYOND_DOUBLE}*x)", "--x=0.1", "--t=0.01"],
+        2, "4a7e68e56b8a94fc4835938c7f01a15c0e584fab0543f434c1f9ad5934e4b083",
+    ),
+    "eval-overflow-closed-form-time": (
+        ["eval", "--field=x", "--x=0.1", "--t=1e308"], 2, "0401e7781915ef55ad220afa51c4e6d2fb35aa501c0962384c7f05d5f2a9aa0a",
+    ),
+    "eval-point-nan": (["eval", "--field=x", "--x=nan", "--t=0.1"], 2, "69b11ad7c5cfba2fe9ac3d2a3681b764358354e54ededdc4fb7c71049007f511"),
+    "eval-point-inf": (["eval", "--field=x", "--x=inf", "--t=0.1"], 2, "69b11ad7c5cfba2fe9ac3d2a3681b764358354e54ededdc4fb7c71049007f511"),
+    "eval-point-beyond-closed-form": (
+        ["eval", "--field=x^2", "--x=3", "--t=2"], 2, "4bb0110b193b77756b68d50cef06385dfcd1ec321e6f3557beff0d37469c7772",
+    ),
+    "eval-missing-x": (["eval", "--field=x", "--t=0.1"], 3, "7b1044c1343c08101e7dcb60aa98a038e53abd6afdc087a99aec0c0bdb6ab54c"),
+    # decompose: the sum of x and x^2 passes because both sides fold the field (an open defect)
+    "decompose-sum-x-and-x-squared": (
+        ["decompose", "--mode=sum", "--part=x", "--part=x^2", "--order-x=6", "--order-t=3"],
+        0, "7620ac55e7194f873323150882377d95a272fc609217419bb612e6a0f28f334e",
+    ),
+    "decompose-product-gaussian-json": (
+        ["decompose", "--mode=product", "--part=1+i*x", "--part=x", "--domain=gaussian",
+         "--order-x=6", "--order-t=3", "--format=json"],
+        0, "f1a2da4a95e22ce89d8038d53396c6b9cebd363c79f9aeb58ad7ecd3524f37f0",
+    ),
+    "decompose-unknown-mode": (
+        ["decompose", "--mode=diff", "--part=x"], 3, "b7d1c83c3f32bfa1e18b5ca9455a3c58cd52ba5ff9b9f663b1a70c563769725e",
+    ),
+    "decompose-parse-error": (
+        ["decompose", "--mode=sum", "--part=x^^2"], 1, "cd65fb7d1f3579342a8fd4b0431a13c97b7aa0220651e97acd2db0f37899deab",
+    ),
+    "decompose-domain-error": (
+        ["decompose", "--mode=sum", "--part=i*x"], 2, "86c513970359062205ec6848e7dcc229f921a708794ab81f0edec64355036985",
+    ),
+    # verify
+    "verify-seed-7": (["verify", "--seed", "7"], 0, "519afca04c5758d0a28e906ee854bb82621c3dc792954e2c19608fdffe4f321f"),
+    "verify-seed-not-an-integer": (["verify", "--seed=abc"], 3, "7a15585b54ddd7137bb05220392a90a95385443df3854aa2568ce8e56d5a0f6a"),
+    "verify-unknown-format": (["verify", "--format=xml"], 3, "3ea6077eecef286d6fa8c5fda9b63b9185ce698621d4269c71486c266dc30bc8"),
+    # bell-debug
+    "bell-debug-n3": (
+        ["bell-debug", "--n", "3", "--b", "1,1,1", "--a", "1,1,1"], 0, "6b9386eefb462980368d9ed29e5575d41201e646b1b96379112c89bf77a94491",
+    ),
+    "bell-debug-n8-rational": (
+        ["bell-debug", "--n", "8", "--b", "1,2,3,4,5,6,7,8",
+         "--a", "1/2,1/3,1/4,1/5,1/6,1/7,1/8,1/9"],
+        0, "c72be785ed9d37901e6637667049c57cc41ee8f97ecb2b2e6de1dd5aff9fc987",
+    ),
+    "bell-debug-gaussian": (
+        ["bell-debug", "--n", "3", "--b", "i,1,1/2", "--a", "1,-i,2", "--domain", "gaussian"],
+        0, "4dbff58dfff030c88558c9be6dc94825b8f26c12b33578d72d842f4f518b6b5d",
+    ),
+    "bell-debug-gaussian-in-rational-domain": (
+        ["bell-debug", "--n", "2", "--b", "i,1", "--a", "1,1"],
+        2, "601aaf035b7cb86d82760bf54d190f1c8b161621f886ac4efbe7bf34b7bca27e",
+    ),
+    "bell-debug-n70": (["bell-debug", "--n", "70", "--b", "1", "--a", "1"], 3, "e6da3869024ffba03739a824ca3a6d94f8ed401368f3155538ad51bdb3f41fa7"),
+    "bell-debug-short-lists": (
+        ["bell-debug", "--n", "3", "--b", "1", "--a", "1"], 3, "d27d0ff4b0893b8f97512cb479e3681b5a52f495be5f35b5cff6ac4cd5cfef41",
+    ),
+    # rk4-debug, a former test hook
+    "rk4-debug-default-steps": (
+        ["rk4-debug", "--field=x", "--x=1", "--t=0.5"], 0, "d9b3501c34938e9664fe1f1329056c72021ee0e099b9a148a049043faef3edea",
+    ),
+    "rk4-debug-steps-64": (
+        ["rk4-debug", "--field=x^2", "--x=0.1", "--t=0.5", "--steps=64"],
+        0, "3383dae72fa6de2948adee84e6a5180c55e24ace3b31d109f8098af807fc921a",
+    ),
+    "rk4-debug-steps-8": (
+        ["rk4-debug", "--field=x", "--x=1", "--t=0.5", "--steps=8"], 3, "c92a695444e115ad75007ce2ef4d2e2d2be427b0ae020b2bc5931b076adafee3",
+    ),
+    "rk4-debug-parse-error": (
+        ["rk4-debug", "--field=x^^2", "--x=1", "--t=0.5"], 1, "cd65fb7d1f3579342a8fd4b0431a13c97b7aa0220651e97acd2db0f37899deab",
+    ),
+    # parse errors, exit 1
+    "parse-unknown-name": (["series", "--field=y"], 1, "97d7b0f96b5404b5a904958dcd820dd9d715124aebc6745274592b0578315830"),
+    "parse-unexpected-character": (["series", "--field=x$2"], 1, "d9c47add98bcf176dcb4cc7a470ee576549e24d90cec38b1c10bdd72504dbdc7"),
+    "parse-zero-denominator": (["series", "--field=1/0*x"], 1, "7b24f8805414d8671f64f083eae238975a4fabf8dfdc69532c5a7355019957a3"),
+    "parse-unclosed-parenthesis": (["series", "--field=(x+1"], 1, "7e8f9946d24848de86a9a9fb13157c43ea544dc5e7d43ba3cf1aaecb8a7aaa71"),
+    "parse-unopened-parenthesis": (["series", "--field=x+1)"], 1, "a64244d20cd952da4a001181aa8083c8893a15470dea124e56bd4430d66accbf"),
+    "parse-empty-field": (["series", "--field="], 1, "b433f03b6d39cfafbcbb1ae0b3b30dfe1683ea9136ce65ceee75352afd252bda"),
+    "parse-leading-plus": (["series", "--field=+x"], 1, "933e1e9a4c196938078123bc4916a8a2247912dbb4e71bafff885986c2fed4cc"),
+    "parse-negative-exponent": (["series", "--field=x^-1"], 1, "2cb288966aa3cdbe9872208d2175a67eabdfc1b522941ae4b540b2e7ba3688b3"),
+    "parse-trailing-operator": (["flow", "--field=x*"], 1, "7a12db142e964414225357a2f3e38d877bd7cf0fe9fae1d9eed909062ddd0ca3"),
+    "parse-exponent-division-of-a-group": (
+        ["series", "--field=(x+1)^3/2"], 1, "d9cd146f0724aaae54fe74da88edf31feb8efecd4ace4f39661328ffe2c123e3",
+    ),
+    "parse-exponent-division-keeps-the-lexeme": (
+        ["series", "--field=x^6/4"], 1, "9f19e3243178ff96f352bdfedabb680a8b57b64d1263fb3fb366095fa860f913",
+    ),
+    # domain errors, exit 2
+    "domain-exp-of-a-square": (["series", "--field=exp(x^2)"], 2, "601398415f81adbcc9688ead20b59bd50d5db1c1727b2229b7add78f6c4faae6"),
+    "domain-nested-function": (["series", "--field=sin(exp(x))"], 2, "356858e3942eaf1abc6eae0baa9d6287889722c943ab17128161ac572c873bd6"),
+    "domain-exp-of-a-constant": (["series", "--field=exp(1)"], 2, "601398415f81adbcc9688ead20b59bd50d5db1c1727b2229b7add78f6c4faae6"),
+    "domain-sin-of-i-squared": (["series", "--field=sin(i*i*x)"], 2, "86c513970359062205ec6848e7dcc229f921a708794ab81f0edec64355036985"),
+    "domain-flow-needs-gaussian": (["flow", "--field=x+i"], 2, "86c513970359062205ec6848e7dcc229f921a708794ab81f0edec64355036985"),
+    # usage errors, exit 3
+    "usage-order-t-zero": (["series", "--field=x", "--order-t=0"], 3, "7f63af4fdf65b325673d3b67b32b5641831ed4268e4818d8d05b21c924ebac41"),
+    "usage-order-x-zero": (["flow", "--field=x", "--order-x=0"], 3, "1e69c0a9e079af13aa85a3bd36e9fd16ef1c1886c1bf1770062fd1e56fa3f9bc"),
+    "usage-order-t-above-order-x": (
+        ["series", "--field=x", "--order-t", "20", "--order-x", "16"],
+        3, "7f63af4fdf65b325673d3b67b32b5641831ed4268e4818d8d05b21c924ebac41",
+    ),
+    "usage-order-x-not-an-integer": (
+        ["series", "--field=x", "--order-x", "1/2"], 3, "d9e108c7a03b6a3e212c2c91951707340c5d61ee5d70f898547c6264977cb90c",
+    ),
+    "usage-unknown-domain": (
+        ["series", "--field=x", "--domain=real"], 3, "034d75baef38ab4dacf24a815a102dce6d37012cde1d3d5f69392d190dcc67a6",
+    ),
+    "usage-unknown-format": (["flow", "--field=x", "--format=xml"], 3, "3ea6077eecef286d6fa8c5fda9b63b9185ce698621d4269c71486c266dc30bc8"),
+    "usage-missing-field": (["series"], 3, "d418dedbf25993fc3b53b67710e5d52e51cac65db4f9b34b609c19d80dcabb4c"),
+    "usage-unknown-command": (["bogus-command"], 3, "5f9e5a1ce198ad39aaa26d8584c1c346cd3d966fd1a00255da11d8d878f153c5"),
+    "usage-unknown-flag": (
+        ["series", "--field=x", "--bogus-flag", "1"], 3, "cc00e830d3a2e1a22c53c397463c98d8807a7fab347799dfb55f7f9d2a9c5067",
+    ),
+    "usage-part-with-leading-minus": (
+        ["decompose", "--mode", "sum", "--part", "-x"], 3, "ada5839096da90e8aa33551f65a299f129029c7797d2e679800c715c12bbe3c6",
+    ),
+    "usage-field-with-leading-minus": (
+        ["series", "--field", "-x"], 3, "54131180239e187718355582d0d594d6d6601abb9e6d21e6bd3bbce828851dd8",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_output_digests(name):
+def test_golden_output_digests(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     argv, expected_code, digest = GOLDEN[name]
     code, out, err = run_cli(*argv)
     assert code == expected_code
@@ -361,8 +643,6 @@ def test_exit_code_usage_errors():
     code, _, err = run_cli("decompose", "--mode", "sum", "--part", "-x")
     assert code == 3 and "expected one argument" in err
 
-
-_BEYOND_DOUBLE = "1" + "0" * 310
 
 
 @pytest.mark.parametrize("field, x, t", [
