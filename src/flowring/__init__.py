@@ -56,7 +56,7 @@ from .hurwitz import (
     mul_truncating,
     power_truncating,
 )
-from .oracle import NumericTrajectory, eval_field, fd_flow_derivative_check, rk4_solve
+from .oracle import eval_field, fd_flow_derivative_check, rk4_solve
 from .scalars import (
     Domain,
     GaussianRational,

@@ -2,7 +2,6 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 parse error, 2 domain error, 3 invalid flags, 4 verification failure.
-The undocumented rk4-debug subcommand is a test-harness hook.
 """
 
 from __future__ import annotations
@@ -98,7 +97,6 @@ def _build_parser():
     common(p_eval)
     p_eval.add_argument("--t", type=float, required=True)
     p_eval.add_argument("--x", type=float, required=True)
-    p_eval.add_argument("--steps", type=int, default=512, help=argparse.SUPPRESS)
 
     p_dec = sub.add_parser("decompose", help="combine the flows of several parts")
     p_dec.add_argument("--mode", choices=["sum", "product"], required=True)
@@ -115,12 +113,6 @@ def _build_parser():
     p_bell.add_argument("--b", required=True, help="comma separated scalars b_1..b_n")
     p_bell.add_argument("--a", required=True, help="comma separated scalars a_1..a_n")
     p_bell.add_argument("--domain", choices=["rational", "gaussian"], default="rational")
-
-    p_rk4 = sub.add_parser("rk4-debug")  # test harness hook, hidden from help
-    p_rk4.add_argument("--field", required=True)
-    p_rk4.add_argument("--x", type=float, required=True)
-    p_rk4.add_argument("--t", type=float, required=True)
-    p_rk4.add_argument("--steps", type=int, default=256)
 
     return parser
 
@@ -192,7 +184,7 @@ def _cmd_eval(args, out):
     rk4_value = None
     if is_real:
         try:
-            rk4_value = rk4_solve(ast, args.x, args.t, args.steps).final
+            rk4_value = rk4_solve(ast, args.x, args.t, 512)[-1]
         except DomainMismatchError:
             rk4_value = None  # complex-valued field with a real flow
     if not cmath.isfinite(series_value):
@@ -268,13 +260,6 @@ def _cmd_bell_debug(args, out):
     return EXIT_OK
 
 
-def _cmd_rk4_debug(args, out):
-    ast = parse(args.field)
-    trajectory = rk4_solve(ast, args.x, args.t, args.steps)
-    out.write(f"y({args.t}) = {trajectory.final!r} (step {trajectory.step:g})\n")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "series": _cmd_series,
     "flow": _cmd_series,
@@ -282,7 +267,6 @@ _COMMANDS = {
     "decompose": _cmd_decompose,
     "verify": _cmd_verify,
     "bell-debug": _cmd_bell_debug,
-    "rk4-debug": _cmd_rk4_debug,
 }
 
 

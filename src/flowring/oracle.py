@@ -16,7 +16,6 @@ builds the function once per solve and calls it at every stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import expr as _expr
 from .errors import DomainMismatchError, NumericBlowupError, OutOfRangeError
@@ -88,30 +87,19 @@ def eval_field(node):
     raise TypeError(f"not a field expression: {node!r}")
 
 
-@dataclass(frozen=True)
-class NumericTrajectory:
-    ts: tuple
-    ys: tuple
-    step: float
-
-    @property
-    def final(self):
-        return self.ys[-1]
-
-
 def rk4_solve(field, x0, t1, steps=256):
     """Classical 4th order Runge-Kutta for y' = field(y), y(0) = x0.
 
-    Rejects runs that leave the finite floats; callers should shorten t1
-    instead of expecting adaptive rescue.
+    Returns the tuple of states y_0 .. y_steps at the times k * t1 / steps,
+    so the value at t1 is the last.  Rejects runs that leave the finite
+    floats; callers should shorten t1 instead of expecting adaptive rescue.
     """
     if steps < 16:
         raise OutOfRangeError("rk4 needs at least 16 steps")
     f = eval_field(field)
     h = t1 / steps
-    ts = [0.0]
-    ys = [float(x0)]
     y = float(x0)
+    ys = [y]
     for n in range(steps):
         k1 = f(y)
         k2 = f(y + 0.5 * h * k1)
@@ -120,27 +108,22 @@ def rk4_solve(field, x0, t1, steps=256):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not math.isfinite(y):
             raise NumericBlowupError(f"trajectory left the finite range at step {n + 1}")
-        ts.append((n + 1) * h)
         ys.append(y)
-    return NumericTrajectory(tuple(ts), tuple(ys), h)
+    return tuple(ys)
 
 
-def fd_flow_derivative_check(flow_like, field, t0, x0, h=1e-4):
+def fd_flow_derivative_check(closed_form, field, t0, x0, h=1e-4):
     """Central-difference residual |dPhi/dt - field(Phi)| at (t0, x0).
 
-    flow_like is either an AutonomousSequence (a flow) or a
-    ClosedFormFlow; the field is an expression tree evaluated pointwise.
+    Phi is a ClosedFormFlow; the field is an expression tree evaluated
+    pointwise.
     """
     if not 1e-6 <= h <= 1e-3:
         raise OutOfRangeError("finite-difference step must lie in [1e-6, 1e-3]")
+    from .flow import closed_form_eval
 
     def phi(t):
-        if hasattr(flow_like, "eval_at"):
-            value = flow_like.eval_at(t, x0)
-            return value.real if isinstance(value, complex) else value
-        from .flow import closed_form_eval
-
-        return closed_form_eval(flow_like, t, x0)
+        return closed_form_eval(closed_form, t, x0)
 
     slope = (phi(t0 + h) - phi(t0 - h)) / (2.0 * h)
     return abs(slope - eval_field(field)(phi(t0)))

@@ -82,28 +82,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        conj = other.conjugate()
-        prod = self * conj
-        return GaussianRational(prod.re / n, prod.im / n)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -124,21 +104,11 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return format_scalar(self)
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self):
-        """The field norm re**2 + im**2, an exact Fraction."""
-        return self.re * self.re + self.im * self.im
 
 
 class Domain(Enum):

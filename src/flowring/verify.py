@@ -472,8 +472,8 @@ def rk4_convergence():
     name = "rk4-convergence-order"
     field = parse("x")
     exact = math.exp(0.5)
-    err_coarse = abs(rk4_solve(field, 1.0, 0.5, 32).final - exact)
-    err_fine = abs(rk4_solve(field, 1.0, 0.5, 64).final - exact)
+    err_coarse = abs(rk4_solve(field, 1.0, 0.5, 32)[-1] - exact)
+    err_fine = abs(rk4_solve(field, 1.0, 0.5, 64)[-1] - exact)
     ratio = err_coarse / err_fine
     if not 12.0 <= ratio <= 20.0:
         return _fail(name, f"halving steps changed the error by {ratio:.2f}x")
@@ -488,7 +488,7 @@ def rk4_series_agreement():
         for x0 in (-0.2, 0.0, 0.2):
             for t1 in (0.1, 0.3):
                 series_value = flow.eval_at(t1, x0)
-                rk4_value = rk4_solve(field, x0, t1, 512).final
+                rk4_value = rk4_solve(field, x0, t1, 512)[-1]
                 if abs(series_value - rk4_value) > 1e-8:
                     return _fail(
                         name,
@@ -535,7 +535,7 @@ def example_cubic(order_t=8, order=16):
     if not prod_result.matches_direct or prod_result.combined != direct:
         return _fail(name, "product decomposition differs from the direct flow")
     big = flow_series(series_from_text("1-x+x^2-x^3", _SERIES_ORDER_X), _SERIES_ORDER_T)
-    rk4_value = rk4_solve(parse("1-x+x^2-x^3"), 0.1, 0.25, 1024).final
+    rk4_value = rk4_solve(parse("1-x+x^2-x^3"), 0.1, 0.25, 1024)[-1]
     series_value = big.eval_at(0.25, 0.1)
     if abs(series_value - rk4_value) > 1e-8:
         return _fail(name, f"series {series_value!r} vs rk4 {rk4_value!r}")

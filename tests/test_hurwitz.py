@@ -87,11 +87,17 @@ def _schoolbook_mul(a, b):
     )
 
 
+def _gaussian_reciprocal(z):
+    """1/(re + im*i) = (re - im*i) / (re^2 + im^2)."""
+    norm = z.re * z.re + z.im * z.im
+    return GaussianRational(z.re / norm, -z.im / norm)
+
+
 def _schoolbook_inverse(a):
     """b_0 = 1/a_0, b_n = -(1/a_0) sum_{h=1..n} C(n, h) a_h b_{n-h}."""
     zero = a.domain.zero()
     x = [a.domain.coerce(c) for c in a.coeffs]
-    inv0 = a.domain.one() / x[0]
+    inv0 = _gaussian_reciprocal(x[0]) if a.domain is Domain.GAUSSIAN else 1 / x[0]
     b = [inv0]
     for n in range(1, len(x)):
         b.append(-inv0 * sum((math.comb(n, h) * x[h] * b[n - h] for h in range(1, n + 1)), zero))

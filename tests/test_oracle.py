@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from flowring import expr
 from flowring.errors import DomainMismatchError, NumericBlowupError, OutOfRangeError
-from flowring.expr import parse, series_from_text
-from flowring.flow import ClosedFormFlow, FlowKind, flow_series
+from flowring.expr import parse
+from flowring.flow import ClosedFormFlow, FlowKind
 from flowring.oracle import eval_field, fd_flow_derivative_check, rk4_solve
 from flowring.scalars import GaussianRational
 
@@ -22,26 +22,23 @@ def test_eval_field_pointwise():
 
 
 def test_rk4_exponential():
-    trajectory = rk4_solve(parse("x"), 1.0, 0.5, 256)
-    assert abs(trajectory.final - math.exp(0.5)) < 1e-9
-    assert len(trajectory.ts) == 257
-    assert trajectory.step == pytest.approx(0.5 / 256)
+    ys = rk4_solve(parse("x"), 1.0, 0.5, 256)
+    assert abs(ys[-1] - math.exp(0.5)) < 1e-9
+    assert len(ys) == 257 and ys[0] == 1.0
 
 
 def test_rk4_constant_field_is_exact():
-    trajectory = rk4_solve(parse("1"), 0.3, 0.7, 256)
-    assert abs(trajectory.final - 1.0) < 1e-13
+    assert abs(rk4_solve(parse("1"), 0.3, 0.7, 256)[-1] - 1.0) < 1e-13
 
 
 def test_rk4_square_field():
-    trajectory = rk4_solve(parse("x^2"), 0.1, 0.5, 512)
-    assert abs(trajectory.final - 0.1 / 0.95) < 1e-10
+    assert abs(rk4_solve(parse("x^2"), 0.1, 0.5, 512)[-1] - 0.1 / 0.95) < 1e-10
 
 
 def test_rk4_convergence_ratio():
     exact = math.exp(0.5)
-    err32 = abs(rk4_solve(parse("x"), 1.0, 0.5, 32).final - exact)
-    err64 = abs(rk4_solve(parse("x"), 1.0, 0.5, 64).final - exact)
+    err32 = abs(rk4_solve(parse("x"), 1.0, 0.5, 32)[-1] - exact)
+    err64 = abs(rk4_solve(parse("x"), 1.0, 0.5, 64)[-1] - exact)
     assert 12.0 <= err32 / err64 <= 20.0
 
 
@@ -55,22 +52,19 @@ def test_rk4_step_floor():
         rk4_solve(parse("x"), 1.0, 0.5, 8)
 
 
-def test_fd_residual_for_series_flows():
-    linear = flow_series(series_from_text("x", 24), 16)
-    assert fd_flow_derivative_check(linear, parse("x"), 0.2, 0.1, 1e-4) < 1e-8
-    constant = flow_series(series_from_text("1", 12), 6)
-    assert fd_flow_derivative_check(constant, parse("1"), 0.3, 0.4, 1e-4) < 1e-11
-
-
 def test_fd_residual_for_closed_forms():
     quad = ClosedFormFlow(FlowKind.IRREDUCIBLE_QUADRATIC, (0, 1))
     assert fd_flow_derivative_check(quad, parse("1+x^2"), 0.2, 0.1, 1e-4) < 1e-7
     expfield = ClosedFormFlow(FlowKind.EXPFIELD, (1,))
     assert fd_flow_derivative_check(expfield, parse("exp(x)"), 0.1, 0.05, 1e-4) < 1e-8
+    linear = ClosedFormFlow(FlowKind.EXPONENTIAL, (1, 0))
+    assert fd_flow_derivative_check(linear, parse("x"), 0.2, 0.1, 1e-4) < 1e-8
+    constant = ClosedFormFlow(FlowKind.AFFINE, (1,))
+    assert fd_flow_derivative_check(constant, parse("1"), 0.3, 0.4, 1e-4) < 1e-11
 
 
 def test_fd_step_bounds():
-    linear = flow_series(series_from_text("x", 12), 6)
+    linear = ClosedFormFlow(FlowKind.EXPONENTIAL, (1, 0))
     with pytest.raises(OutOfRangeError):
         fd_flow_derivative_check(linear, parse("x"), 0.1, 0.1, 1e-2)
     with pytest.raises(OutOfRangeError):
@@ -180,7 +174,7 @@ def test_eval_field_matches_the_tree_walk_bit_for_bit(node, points):
     ("-7/2", 0.05, 0.1),
 ])
 def test_rk4_solve_matches_the_tree_walk_bit_for_bit(text, x0, t1):
-    ys = rk4_solve(parse(text), x0, t1, 512).ys
+    ys = rk4_solve(parse(text), x0, t1, 512)
     assert [y.hex() for y in ys] == [y.hex() for y in _reference_rk4(parse(text), x0, t1, 512)]
 
 
