@@ -13,6 +13,14 @@ Rational literals are a single lexeme "p" or "p/q" with no internal
 spaces.  Adjacent letters split greedily into the known names, so "ix"
 reads as i*x.  The argument of exp/sin/cos must reduce to a scalar
 multiple of x; the scalar is folded into the node at parse time.
+
+An expression nests at most MAX_DEPTH = 100 levels deep.  A number, i
+or x is one level, and each operator (a leading minus and adjacency
+included) and each pair of parentheses (those of exp/sin/cos included)
+adds one level around what it holds: x*x*x is three levels, ((x)) is
+three and -(x+1)^2 is five.  Deeper input is a ParseError that names the
+bound.  This keeps the parser, and every later walk of the tree, within
+Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -82,6 +90,9 @@ class Cos:
     scale: object
 
 
+MAX_DEPTH = 100
+"""The deepest an expression may nest; see the module docstring."""
+
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _WORDS = ("exp", "sin", "cos", "i", "x")
 _ATOM_EXPECTED = ("number", "'x'", "'i'", "'exp'", "'sin'", "'cos'", "'('")
@@ -144,9 +155,12 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent; every parse_* method returns (node, depth), depth as in MAX_DEPTH."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # parentheses and minus signs around the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -162,36 +176,47 @@ class _Parser:
             raise ParseError(f"unexpected {_describe(tok)}", tok.offset, expected=expected)
         return self.advance()
 
+    @staticmethod
+    def deeper(tok, depth):
+        """The depth of a level that ``tok`` opens around ``depth`` levels, at most MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.offset)
+        return depth + 1
+
     def parse_expr(self):
-        node = self.parse_term()
+        node, depth = self.parse_term()
         while self.peek().kind in ("plus", "minus"):
             op = self.advance()
-            right = self.parse_term()
+            right, right_depth = self.parse_term()
             node = Add(node, right) if op.kind == "plus" else Sub(node, right)
-        return node
+            depth = self.deeper(op, max(depth, right_depth))
+        return node, depth
 
     def parse_term(self):
-        node = self.parse_unary()
+        node, depth = self.parse_unary()
         while True:
             tok = self.peek()
             if tok.kind == "star":
                 self.advance()
-                node = Mul(node, self.parse_unary())
-            elif tok.kind in ("number", "word", "lparen"):
-                node = Mul(node, self.parse_unary())
-            else:
-                return node
+            elif tok.kind not in ("number", "word", "lparen"):
+                return node, depth
+            right, right_depth = self.parse_unary()
+            node, depth = Mul(node, right), self.deeper(tok, max(depth, right_depth))
 
     def parse_unary(self):
-        if self.peek().kind == "minus":
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+        tok = self.peek()
+        if tok.kind != "minus":
+            return self.parse_power()
+        self.advance()
+        self.open = self.deeper(tok, self.open)
+        child, depth = self.parse_unary()
+        self.open -= 1
+        return Neg(child), self.deeper(tok, depth)
 
     def parse_power(self):
-        base = self.parse_atom()
+        base, depth = self.parse_atom()
         if self.peek().kind == "caret":
-            self.advance()
+            caret = self.advance()
             tok = self.expect("number", ("non-negative integer exponent",))
             if "/" in tok.text:
                 # "p/q" lexes as one literal, so x^2/3 would read as x^(2/3) and x^4/2 as x^2
@@ -201,31 +226,34 @@ class _Parser:
                     f"(write 1/{q}*{format_expr(Pow(base, int(p)))} to divide)", tok.offset,
                     expected=("non-negative integer exponent",),
                 )
-            return Pow(base, int(tok.value))
-        return base
+            return Pow(base, int(tok.value)), self.deeper(caret, depth)
+        return base, depth
 
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Const(tok.value)
+            return Const(tok.value), 1
         if tok.kind == "word":
             self.advance()
             if tok.value == "x":
-                return Var()
+                return Var(), 1
             if tok.value == "i":
-                return Const(GaussianRational(0, 1))
+                return Const(GaussianRational(0, 1)), 1
             self.expect("lparen", ("'('",))
-            inner = self.parse_expr()
-            self.expect("rparen", ("')'",))
-            scale = _linear_scale(inner, tok.value, tok.offset)
-            return {"exp": Exp, "sin": Sin, "cos": Cos}[tok.value](scale)
-        if tok.kind == "lparen":
+        elif tok.kind == "lparen":
             self.advance()
-            inner = self.parse_expr()
-            self.expect("rparen", ("')'",))
-            return inner
-        raise ParseError(f"unexpected {_describe(tok)}", tok.offset, expected=_ATOM_EXPECTED)
+        else:
+            raise ParseError(f"unexpected {_describe(tok)}", tok.offset, expected=_ATOM_EXPECTED)
+        self.open = self.deeper(tok, self.open)
+        inner, depth = self.parse_expr()
+        self.expect("rparen", ("')'",))
+        self.open -= 1
+        depth = self.deeper(tok, depth)
+        if tok.kind == "lparen":
+            return inner, depth
+        scale = _linear_scale(inner, tok.value, tok.offset)
+        return {"exp": Exp, "sin": Sin, "cos": Cos}[tok.value](scale), depth
 
 
 def _describe(tok):
@@ -239,7 +267,7 @@ def _describe(tok):
 def parse(text):
     """Parse an expression string into an expression tree."""
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected {_describe(tok)}", tok.offset, expected=("end of input",))

@@ -197,3 +197,20 @@ def test_json_round_trip():
                                strict=True):
         assert printed["domain"] == "rational" and printed["orderX"] == series.order
         assert [parse_scalar(c, Domain.RATIONAL) for c in printed["coeffs"]] == list(series.coeffs)
+
+
+# eval-oracle inputs on which |series - rk4| exceeds 1e-5 at N = 16, M = 12: the gap is
+# the truncation error of the series, and the double sum of the truncated series is right
+@pytest.mark.parametrize("text, x, t", [
+    ("x^5+2*x^4+x^3+2*x^2+x+2", 0.1691, 0.1464),
+    ("x^5+2*x^4+1/2*x^3+2*x^2+1/2*x+2", 0.1999, 0.14),
+    ("x^5+2*x^4+1/2*x^3+2*x^2+1/2*x+2", 0.1927, 0.145),
+])
+def test_eval_at_is_within_four_ulp_of_the_exact_truncated_sum(text, x, t):
+    seq = autonomous_sequence(series_from_text(text, 16), 12)
+    exact = Fraction(0)
+    for n, term in enumerate(seq.terms):
+        parts, den = term.ordinary_parts()
+        value_at_x = sum(Fraction(m, den) * Fraction(x) ** k for k, m in enumerate(parts[0]))
+        exact += value_at_x * Fraction(t) ** n / math.factorial(n)
+    assert abs(Fraction(seq.eval_at(t, x)) - exact) <= 4 * Fraction(math.ulp(float(exact)))

@@ -31,8 +31,11 @@ def _sha256(text):
 
 _BEYOND_DOUBLE = "1" + "0" * 310
 
-# SHA-256 of exit code, stdout and stderr of fixed runs, pinning bit-exact
-# output: any change to a printed coefficient or message changes them.
+# The golden corpus: SHA-256 of exit code, stdout and stderr of fixed runs,
+# pinning bit-exact output, so any change to a printed coefficient or message
+# changes them. A digest is taken when its entry is added. A change that keeps
+# every output changes no entry; one that changes an output on purpose retakes
+# only the entries it changes, and says which.
 GOLDEN = {
     "series-quartic-n64": (
         ["series", "--field", "-7/3 + 5/4*x - 11/6*x^2 + 3/10*x^3 - 13/9*x^4",
@@ -202,34 +205,71 @@ GOLDEN = {
         1, "ef3aba3ac12cc5102022c341255a4d58d014b4c032d064848578eff2e66ff017",
     ),
     # --help of the program and of every command, at COLUMNS=80
-    "help-program": (["--help"], 0, "520b8e81b5f89192123cbfe08a8da73b3d70e3fd93986f57e8852b3c5bd590a5"),
-    "help-series": (["series", "--help"], 0, "3df4bac0d7a84707a97fc2ce5934e9e262ca915d0fe79652bd614697e3b00347"),
-    "help-flow": (["flow", "--help"], 0, "08cd2bc96fed7ab1a300f89464d345a1e9ba7c69010e70357cddc2999fa1ae99"),
-    "help-eval": (["eval", "--help"], 0, "16358063d4fdf793ed6188f165fb50c9629b2847f5aec4d374a6d022d3b71cd5"),
-    "help-decompose": (["decompose", "--help"], 0, "e8b664f461e11cca01d7fda151e9343fb043c6a0021a94d6d908cdd2da28fbc6"),
-    "help-verify": (["verify", "--help"], 0, "367bc2e4a1a062ce419a2cbf05247d96f1068aef4cdd6568196115ea49a8d8bb"),
-    "help-bell-debug": (["bell-debug", "--help"], 0, "7634677bedcb91d4e20e6d083a5638ac70bab07c722a5ba90517358bd458632c"),
-    "help-rk4-debug": (["rk4-debug", "--help"], 3, "7f08842b23ce98c5c013c1a4e8813750b959380c47e22930ab4918fc38abd30d"),
+    "help-program": (
+        ["--help"],
+        0, "520b8e81b5f89192123cbfe08a8da73b3d70e3fd93986f57e8852b3c5bd590a5",
+    ),
+    "help-series": (
+        ["series", "--help"],
+        0, "3df4bac0d7a84707a97fc2ce5934e9e262ca915d0fe79652bd614697e3b00347",
+    ),
+    "help-flow": (
+        ["flow", "--help"],
+        0, "08cd2bc96fed7ab1a300f89464d345a1e9ba7c69010e70357cddc2999fa1ae99",
+    ),
+    "help-eval": (
+        ["eval", "--help"],
+        0, "16358063d4fdf793ed6188f165fb50c9629b2847f5aec4d374a6d022d3b71cd5",
+    ),
+    "help-decompose": (
+        ["decompose", "--help"],
+        0, "e8b664f461e11cca01d7fda151e9343fb043c6a0021a94d6d908cdd2da28fbc6",
+    ),
+    "help-verify": (
+        ["verify", "--help"],
+        0, "367bc2e4a1a062ce419a2cbf05247d96f1068aef4cdd6568196115ea49a8d8bb",
+    ),
+    "help-bell-debug": (
+        ["bell-debug", "--help"],
+        0, "7634677bedcb91d4e20e6d083a5638ac70bab07c722a5ba90517358bd458632c",
+    ),
+    "help-rk4-debug": (
+        ["rk4-debug", "--help"],
+        3, "7f08842b23ce98c5c013c1a4e8813750b959380c47e22930ab4918fc38abd30d",
+    ),
     "no-command": ([], 3, "3f06c66bbbffdb3096ad378db2237dd331f4ab98bdaa8bccf737071a7be40108"),
     # series and flow in both formats and both domains
-    "series-x-text": (["series", "--field=x"], 0, "ddcf9be2154c39aac494cd6ec58eec4dbd64721ab06d8c71071f656d6a54a712"),
-    "series-x-json": (["series", "--field=x", "--format=json"], 0, "48e9e045d5e2b62edfa311b42b506776a29319b488af04cbd5824326253e06fd"),
-    "series-default-orders": (["series", "--field=1+x^2"], 0, "2323a491d539f26c66305e725fafba643fc0645be289c7d1d76f5e92283e23cc"),
+    "series-x-text": (
+        ["series", "--field=x"],
+        0, "ddcf9be2154c39aac494cd6ec58eec4dbd64721ab06d8c71071f656d6a54a712",
+    ),
+    "series-x-json": (
+        ["series", "--field=x", "--format=json"],
+        0, "48e9e045d5e2b62edfa311b42b506776a29319b488af04cbd5824326253e06fd",
+    ),
+    "series-default-orders": (
+        ["series", "--field=1+x^2"],
+        0, "2323a491d539f26c66305e725fafba643fc0645be289c7d1d76f5e92283e23cc",
+    ),
     "series-leading-minus-text": (
-        ["series", "--field=-x", "--order-x=6", "--order-t=3"], 0, "0c5b62cb3fc853b244174d1267a579c7b0a7b80f31eb157ee1df9131c08a95e4",
+        ["series", "--field=-x", "--order-x=6", "--order-t=3"],
+        0, "0c5b62cb3fc853b244174d1267a579c7b0a7b80f31eb157ee1df9131c08a95e4",
     ),
     "series-leading-minus-json": (
         ["series", "--field=-x^2+1/3", "--order-x=6", "--order-t=3", "--format=json"],
         0, "c4f6cf8cd4b7b211ada6e49c3622a3c5a89cbdc16fa6a5713df6014f9225e97e",
     ),
     "series-constant": (
-        ["series", "--field=3/2", "--order-x=4", "--order-t=2"], 0, "ffe11862b291cdf51bf1f4669ea1b663aecbcebfec5e558358cc02697acefa63",
+        ["series", "--field=3/2", "--order-x=4", "--order-t=2"],
+        0, "ffe11862b291cdf51bf1f4669ea1b663aecbcebfec5e558358cc02697acefa63",
     ),
     "series-zero-field": (
-        ["series", "--field=0", "--order-x=4", "--order-t=2"], 0, "a227b497e96f1224a391babe9555ad522929ca07a5032d4087bdfcc11428f83f",
+        ["series", "--field=0", "--order-x=4", "--order-t=2"],
+        0, "a227b497e96f1224a391babe9555ad522929ca07a5032d4087bdfcc11428f83f",
     ),
     "series-smallest-orders": (
-        ["series", "--field=x^2", "--order-x=1", "--order-t=1"], 0, "dfefd1375fd47d9b306343b1e66a03ec142bfaa438e6f7def8d7ce781608b1d9",
+        ["series", "--field=x^2", "--order-x=1", "--order-t=1"],
+        0, "dfefd1375fd47d9b306343b1e66a03ec142bfaa438e6f7def8d7ce781608b1d9",
     ),
     "series-order-t-equals-order-x": (
         ["series", "--field=x^2-x", "--order-x=6", "--order-t=6"],
@@ -240,14 +280,16 @@ GOLDEN = {
         0, "5682fc5505c52a811bf646a24537228443cf58372501ac1ec3d2415ff54f1164",
     ),
     "series-power-of-a-sum": (
-        ["series", "--field=(1+x)^5", "--order-x=8", "--order-t=3"], 0, "7b601c321d32136577719691defbe0172b5b1767aea27895f32609868867ad42",
+        ["series", "--field=(1+x)^5", "--order-x=8", "--order-t=3"],
+        0, "7b601c321d32136577719691defbe0172b5b1767aea27895f32609868867ad42",
     ),
     "series-adjacency-multiplies": (
         ["series", "--field=2x(x+1)", "--order-x=6", "--order-t=3"],
         0, "93eef78e439646028301e8f4f85d3916ac3dd2ab2c6a1a790959985fc00a0df7",
     ),
     "series-whitespace": (
-        ["series", "--field= x ^ 2 + 1 ", "--order-x=4", "--order-t=2"], 0, "1ed2698149cfd090708accc6ba2fa1b586823d3051063db5583229141a2e11df",
+        ["series", "--field= x ^ 2 + 1 ", "--order-x=4", "--order-t=2"],
+        0, "1ed2698149cfd090708accc6ba2fa1b586823d3051063db5583229141a2e11df",
     ),
     "series-gaussian-one-minus-ix": (
         ["series", "--domain=gaussian", "--field=1-i*x", "--order-x=4", "--order-t=2"],
@@ -275,12 +317,17 @@ GOLDEN = {
         ["series", "--field=x^3000000", "--order-x=8", "--order-t=4"],
         0, "946cf70f31b06b40f24f3fc61ba4653ccd76f6dbfac4ae3f5044278003cf652f",
     ),
-    "flow-text": (["flow", "--field=x^2", "--order-x=8", "--order-t=4"], 0, "584186e35ba56cdeb15141d60b25f5752816bcb5124f11f7fda0e5d25a043f97"),
+    "flow-text": (
+        ["flow", "--field=x^2", "--order-x=8", "--order-t=4"],
+        0, "584186e35ba56cdeb15141d60b25f5752816bcb5124f11f7fda0e5d25a043f97",
+    ),
     "flow-json": (
-        ["flow", "--field=1-x", "--order-x=6", "--order-t=3", "--format=json"], 0, "cd3465b3b541019347b3a9720c8d6cd3d82025012a1bbd1772ac7fcb4f73c306",
+        ["flow", "--field=1-x", "--order-x=6", "--order-t=3", "--format=json"],
+        0, "cd3465b3b541019347b3a9720c8d6cd3d82025012a1bbd1772ac7fcb4f73c306",
     ),
     "flow-leading-minus": (
-        ["flow", "--field=-x^3", "--order-x=6", "--order-t=3"], 0, "d93467a8577728719e0709357f1d942804b910d6b3d34e737f558bad80843bae",
+        ["flow", "--field=-x^3", "--order-x=6", "--order-t=3"],
+        0, "d93467a8577728719e0709357f1d942804b910d6b3d34e737f558bad80843bae",
     ),
     "flow-gaussian-json": (
         ["flow", "--field=exp(i*x)", "--domain=gaussian", "--order-x=8", "--order-t=4",
@@ -289,13 +336,17 @@ GOLDEN = {
     ),
     # eval beyond the catalog, in the Gaussian domain, and at large exponents
     "eval-not-in-catalog-text": (
-        ["eval", "--field=x^3+x", "--x=0.2", "--t=0.1"], 0, "93453e93cda8bcee827a60d3b1d399ee4d1dd36c21fac9acfc52f0f650a5ac97",
+        ["eval", "--field=x^3+x", "--x=0.2", "--t=0.1"],
+        0, "93453e93cda8bcee827a60d3b1d399ee4d1dd36c21fac9acfc52f0f650a5ac97",
     ),
     "eval-exp-plus-sin-json": (
         ["eval", "--field=exp(1/2*x)+sin(-1/2*x)", "--x=0.1", "--t=0.2", "--format=json"],
         0, "823d1641ab1077acfeac1a940dfebf84b5cae4b30b5410d77808c8c5d4e539f6",
     ),
-    "eval-leading-minus": (["eval", "--field=-x", "--x=1", "--t=0.5"], 0, "230c35da617ed369da0afd7023e0a5bd9558e952dbddbbede352abee61f41b3f"),
+    "eval-leading-minus": (
+        ["eval", "--field=-x", "--x=1", "--t=0.5"],
+        0, "230c35da617ed369da0afd7023e0a5bd9558e952dbddbbede352abee61f41b3f",
+    ),
     "eval-gaussian-complex-json": (
         ["eval", "--field=exp(i*x)", "--domain=gaussian", "--x=0.5", "--t=0.25",
          "--order-x=24", "--order-t=12", "--format=json"],
@@ -310,10 +361,12 @@ GOLDEN = {
         0, "95d5d1e93f202cdedfd47522c575dad3cbf0913402aeb0afe97d6a26a284f5a7",
     ),
     "eval-monomial-x30000": (
-        ["eval", "--field=x^30000", "--x=0.1", "--t=0.01"], 0, "bd928ee5269a85d1bd42db5732cc04ccd8978d8fdfa362efbc6c222009b1c967",
+        ["eval", "--field=x^30000", "--x=0.1", "--t=0.01"],
+        0, "bd928ee5269a85d1bd42db5732cc04ccd8978d8fdfa362efbc6c222009b1c967",
     ),
     "eval-monomial-x3000000": (
-        ["eval", "--field=x^3000000", "--x=0.1", "--t=0.01"], 0, "2cbf42e01911c93d6abaf1881f2909873482ea78cc426fb982af4ddf91163035",
+        ["eval", "--field=x^3000000", "--x=0.1", "--t=0.01"],
+        0, "2cbf42e01911c93d6abaf1881f2909873482ea78cc426fb982af4ddf91163035",
     ),
     # fields on which |series - rk4| exceeds 1e-5: the truncation error at N = 16, M = 12
     "eval-truncation-gap-quintic": (
@@ -333,17 +386,21 @@ GOLDEN = {
     ),
     # eval's RK4 takes 512 steps, which no flag changes
     "eval-steps-64": (
-        ["eval", "--field=x", "--x=0.1", "--t=0.1", "--steps=64"], 3, "d241b45073b208cde9b21d0925a621657582b5cca6087b39a41af30dcf618549",
+        ["eval", "--field=x", "--x=0.1", "--t=0.1", "--steps=64"],
+        3, "d241b45073b208cde9b21d0925a621657582b5cca6087b39a41af30dcf618549",
     ),
     "eval-steps-8": (
-        ["eval", "--field=x", "--x=0.1", "--t=0.1", "--steps=8"], 3, "69d2b2975f3101c52f6c9e0cdce3dddbe7298646b744896405e8599a222fb7b4",
+        ["eval", "--field=x", "--x=0.1", "--t=0.1", "--steps=8"],
+        3, "69d2b2975f3101c52f6c9e0cdce3dddbe7298646b744896405e8599a222fb7b4",
     ),
     # values beyond the double range, and points that are not finite, exit 2
     "eval-overflow-closed-form-power": (
-        ["eval", "--field=x^2000", "--x=2", "--t=0.01"], 2, "5b56b868ad510ead3b94b769ca1bd3b7c06660801875d3122f778b78e6adecbc",
+        ["eval", "--field=x^2000", "--x=2", "--t=0.01"],
+        2, "5b56b868ad510ead3b94b769ca1bd3b7c06660801875d3122f778b78e6adecbc",
     ),
     "eval-overflow-closed-form-exp": (
-        ["eval", "--field=10^300*x", "--x=0.1", "--t=0.5"], 2, "691e7482f9e7384564acf916c6f2188875456a1660923572675526cb327996a8",
+        ["eval", "--field=10^300*x", "--x=0.1", "--t=0.5"],
+        2, "691e7482f9e7384564acf916c6f2188875456a1660923572675526cb327996a8",
     ),
     "eval-overflow-closed-form-param": (
         ["eval", "--field=(10^200)^2*x", "--x=0.1", "--t=0.5"],
@@ -362,14 +419,25 @@ GOLDEN = {
         2, "4a7e68e56b8a94fc4835938c7f01a15c0e584fab0543f434c1f9ad5934e4b083",
     ),
     "eval-overflow-closed-form-time": (
-        ["eval", "--field=x", "--x=0.1", "--t=1e308"], 2, "0401e7781915ef55ad220afa51c4e6d2fb35aa501c0962384c7f05d5f2a9aa0a",
+        ["eval", "--field=x", "--x=0.1", "--t=1e308"],
+        2, "0401e7781915ef55ad220afa51c4e6d2fb35aa501c0962384c7f05d5f2a9aa0a",
     ),
-    "eval-point-nan": (["eval", "--field=x", "--x=nan", "--t=0.1"], 2, "69b11ad7c5cfba2fe9ac3d2a3681b764358354e54ededdc4fb7c71049007f511"),
-    "eval-point-inf": (["eval", "--field=x", "--x=inf", "--t=0.1"], 2, "69b11ad7c5cfba2fe9ac3d2a3681b764358354e54ededdc4fb7c71049007f511"),
+    "eval-point-nan": (
+        ["eval", "--field=x", "--x=nan", "--t=0.1"],
+        2, "69b11ad7c5cfba2fe9ac3d2a3681b764358354e54ededdc4fb7c71049007f511",
+    ),
+    "eval-point-inf": (
+        ["eval", "--field=x", "--x=inf", "--t=0.1"],
+        2, "69b11ad7c5cfba2fe9ac3d2a3681b764358354e54ededdc4fb7c71049007f511",
+    ),
     "eval-point-beyond-closed-form": (
-        ["eval", "--field=x^2", "--x=3", "--t=2"], 2, "4bb0110b193b77756b68d50cef06385dfcd1ec321e6f3557beff0d37469c7772",
+        ["eval", "--field=x^2", "--x=3", "--t=2"],
+        2, "4bb0110b193b77756b68d50cef06385dfcd1ec321e6f3557beff0d37469c7772",
     ),
-    "eval-missing-x": (["eval", "--field=x", "--t=0.1"], 3, "7b1044c1343c08101e7dcb60aa98a038e53abd6afdc087a99aec0c0bdb6ab54c"),
+    "eval-missing-x": (
+        ["eval", "--field=x", "--t=0.1"],
+        3, "7b1044c1343c08101e7dcb60aa98a038e53abd6afdc087a99aec0c0bdb6ab54c",
+    ),
     # decompose: the sum of x and x^2 passes because both sides fold the field (an open defect)
     "decompose-sum-x-and-x-squared": (
         ["decompose", "--mode=sum", "--part=x", "--part=x^2", "--order-x=6", "--order-t=3"],
@@ -381,21 +449,34 @@ GOLDEN = {
         0, "f1a2da4a95e22ce89d8038d53396c6b9cebd363c79f9aeb58ad7ecd3524f37f0",
     ),
     "decompose-unknown-mode": (
-        ["decompose", "--mode=diff", "--part=x"], 3, "b7d1c83c3f32bfa1e18b5ca9455a3c58cd52ba5ff9b9f663b1a70c563769725e",
+        ["decompose", "--mode=diff", "--part=x"],
+        3, "b7d1c83c3f32bfa1e18b5ca9455a3c58cd52ba5ff9b9f663b1a70c563769725e",
     ),
     "decompose-parse-error": (
-        ["decompose", "--mode=sum", "--part=x^^2"], 1, "cd65fb7d1f3579342a8fd4b0431a13c97b7aa0220651e97acd2db0f37899deab",
+        ["decompose", "--mode=sum", "--part=x^^2"],
+        1, "cd65fb7d1f3579342a8fd4b0431a13c97b7aa0220651e97acd2db0f37899deab",
     ),
     "decompose-domain-error": (
-        ["decompose", "--mode=sum", "--part=i*x"], 2, "86c513970359062205ec6848e7dcc229f921a708794ab81f0edec64355036985",
+        ["decompose", "--mode=sum", "--part=i*x"],
+        2, "86c513970359062205ec6848e7dcc229f921a708794ab81f0edec64355036985",
     ),
     # verify
-    "verify-seed-7": (["verify", "--seed", "7"], 0, "519afca04c5758d0a28e906ee854bb82621c3dc792954e2c19608fdffe4f321f"),
-    "verify-seed-not-an-integer": (["verify", "--seed=abc"], 3, "7a15585b54ddd7137bb05220392a90a95385443df3854aa2568ce8e56d5a0f6a"),
-    "verify-unknown-format": (["verify", "--format=xml"], 3, "3ea6077eecef286d6fa8c5fda9b63b9185ce698621d4269c71486c266dc30bc8"),
+    "verify-seed-7": (
+        ["verify", "--seed", "7"],
+        0, "519afca04c5758d0a28e906ee854bb82621c3dc792954e2c19608fdffe4f321f",
+    ),
+    "verify-seed-not-an-integer": (
+        ["verify", "--seed=abc"],
+        3, "7a15585b54ddd7137bb05220392a90a95385443df3854aa2568ce8e56d5a0f6a",
+    ),
+    "verify-unknown-format": (
+        ["verify", "--format=xml"],
+        3, "3ea6077eecef286d6fa8c5fda9b63b9185ce698621d4269c71486c266dc30bc8",
+    ),
     # bell-debug
     "bell-debug-n3": (
-        ["bell-debug", "--n", "3", "--b", "1,1,1", "--a", "1,1,1"], 0, "6b9386eefb462980368d9ed29e5575d41201e646b1b96379112c89bf77a94491",
+        ["bell-debug", "--n", "3", "--b", "1,1,1", "--a", "1,1,1"],
+        0, "6b9386eefb462980368d9ed29e5575d41201e646b1b96379112c89bf77a94491",
     ),
     "bell-debug-n8-rational": (
         ["bell-debug", "--n", "8", "--b", "1,2,3,4,5,6,7,8",
@@ -410,70 +491,183 @@ GOLDEN = {
         ["bell-debug", "--n", "2", "--b", "i,1", "--a", "1,1"],
         2, "601aaf035b7cb86d82760bf54d190f1c8b161621f886ac4efbe7bf34b7bca27e",
     ),
-    "bell-debug-n70": (["bell-debug", "--n", "70", "--b", "1", "--a", "1"], 3, "e6da3869024ffba03739a824ca3a6d94f8ed401368f3155538ad51bdb3f41fa7"),
+    "bell-debug-n70": (
+        ["bell-debug", "--n", "70", "--b", "1", "--a", "1"],
+        3, "e6da3869024ffba03739a824ca3a6d94f8ed401368f3155538ad51bdb3f41fa7",
+    ),
     "bell-debug-short-lists": (
-        ["bell-debug", "--n", "3", "--b", "1", "--a", "1"], 3, "d27d0ff4b0893b8f97512cb479e3681b5a52f495be5f35b5cff6ac4cd5cfef41",
+        ["bell-debug", "--n", "3", "--b", "1", "--a", "1"],
+        3, "d27d0ff4b0893b8f97512cb479e3681b5a52f495be5f35b5cff6ac4cd5cfef41",
     ),
     # rk4-debug, a former test hook
     "rk4-debug-default-steps": (
-        ["rk4-debug", "--field=x", "--x=1", "--t=0.5"], 3, "7f08842b23ce98c5c013c1a4e8813750b959380c47e22930ab4918fc38abd30d",
+        ["rk4-debug", "--field=x", "--x=1", "--t=0.5"],
+        3, "7f08842b23ce98c5c013c1a4e8813750b959380c47e22930ab4918fc38abd30d",
     ),
     "rk4-debug-steps-64": (
         ["rk4-debug", "--field=x^2", "--x=0.1", "--t=0.5", "--steps=64"],
         3, "7f08842b23ce98c5c013c1a4e8813750b959380c47e22930ab4918fc38abd30d",
     ),
     "rk4-debug-steps-8": (
-        ["rk4-debug", "--field=x", "--x=1", "--t=0.5", "--steps=8"], 3, "7f08842b23ce98c5c013c1a4e8813750b959380c47e22930ab4918fc38abd30d",
+        ["rk4-debug", "--field=x", "--x=1", "--t=0.5", "--steps=8"],
+        3, "7f08842b23ce98c5c013c1a4e8813750b959380c47e22930ab4918fc38abd30d",
     ),
     "rk4-debug-parse-error": (
-        ["rk4-debug", "--field=x^^2", "--x=1", "--t=0.5"], 3, "7f08842b23ce98c5c013c1a4e8813750b959380c47e22930ab4918fc38abd30d",
+        ["rk4-debug", "--field=x^^2", "--x=1", "--t=0.5"],
+        3, "7f08842b23ce98c5c013c1a4e8813750b959380c47e22930ab4918fc38abd30d",
     ),
     # parse errors, exit 1
-    "parse-unknown-name": (["series", "--field=y"], 1, "97d7b0f96b5404b5a904958dcd820dd9d715124aebc6745274592b0578315830"),
-    "parse-unexpected-character": (["series", "--field=x$2"], 1, "d9c47add98bcf176dcb4cc7a470ee576549e24d90cec38b1c10bdd72504dbdc7"),
-    "parse-zero-denominator": (["series", "--field=1/0*x"], 1, "7b24f8805414d8671f64f083eae238975a4fabf8dfdc69532c5a7355019957a3"),
-    "parse-unclosed-parenthesis": (["series", "--field=(x+1"], 1, "7e8f9946d24848de86a9a9fb13157c43ea544dc5e7d43ba3cf1aaecb8a7aaa71"),
-    "parse-unopened-parenthesis": (["series", "--field=x+1)"], 1, "a64244d20cd952da4a001181aa8083c8893a15470dea124e56bd4430d66accbf"),
-    "parse-empty-field": (["series", "--field="], 1, "b433f03b6d39cfafbcbb1ae0b3b30dfe1683ea9136ce65ceee75352afd252bda"),
-    "parse-leading-plus": (["series", "--field=+x"], 1, "933e1e9a4c196938078123bc4916a8a2247912dbb4e71bafff885986c2fed4cc"),
-    "parse-negative-exponent": (["series", "--field=x^-1"], 1, "2cb288966aa3cdbe9872208d2175a67eabdfc1b522941ae4b540b2e7ba3688b3"),
-    "parse-trailing-operator": (["flow", "--field=x*"], 1, "7a12db142e964414225357a2f3e38d877bd7cf0fe9fae1d9eed909062ddd0ca3"),
+    "parse-unknown-name": (
+        ["series", "--field=y"],
+        1, "97d7b0f96b5404b5a904958dcd820dd9d715124aebc6745274592b0578315830",
+    ),
+    "parse-unexpected-character": (
+        ["series", "--field=x$2"],
+        1, "d9c47add98bcf176dcb4cc7a470ee576549e24d90cec38b1c10bdd72504dbdc7",
+    ),
+    "parse-zero-denominator": (
+        ["series", "--field=1/0*x"],
+        1, "7b24f8805414d8671f64f083eae238975a4fabf8dfdc69532c5a7355019957a3",
+    ),
+    "parse-unclosed-parenthesis": (
+        ["series", "--field=(x+1"],
+        1, "7e8f9946d24848de86a9a9fb13157c43ea544dc5e7d43ba3cf1aaecb8a7aaa71",
+    ),
+    "parse-unopened-parenthesis": (
+        ["series", "--field=x+1)"],
+        1, "a64244d20cd952da4a001181aa8083c8893a15470dea124e56bd4430d66accbf",
+    ),
+    "parse-empty-field": (
+        ["series", "--field="],
+        1, "b433f03b6d39cfafbcbb1ae0b3b30dfe1683ea9136ce65ceee75352afd252bda",
+    ),
+    "parse-leading-plus": (
+        ["series", "--field=+x"],
+        1, "933e1e9a4c196938078123bc4916a8a2247912dbb4e71bafff885986c2fed4cc",
+    ),
+    "parse-negative-exponent": (
+        ["series", "--field=x^-1"],
+        1, "2cb288966aa3cdbe9872208d2175a67eabdfc1b522941ae4b540b2e7ba3688b3",
+    ),
+    "parse-trailing-operator": (
+        ["flow", "--field=x*"],
+        1, "7a12db142e964414225357a2f3e38d877bd7cf0fe9fae1d9eed909062ddd0ca3",
+    ),
     "parse-exponent-division-of-a-group": (
-        ["series", "--field=(x+1)^3/2"], 1, "d9cd146f0724aaae54fe74da88edf31feb8efecd4ace4f39661328ffe2c123e3",
+        ["series", "--field=(x+1)^3/2"],
+        1, "d9cd146f0724aaae54fe74da88edf31feb8efecd4ace4f39661328ffe2c123e3",
     ),
     "parse-exponent-division-keeps-the-lexeme": (
-        ["series", "--field=x^6/4"], 1, "9f19e3243178ff96f352bdfedabb680a8b57b64d1263fb3fb366095fa860f913",
+        ["series", "--field=x^6/4"],
+        1, "9f19e3243178ff96f352bdfedabb680a8b57b64d1263fb3fb366095fa860f913",
     ),
     # domain errors, exit 2
-    "domain-exp-of-a-square": (["series", "--field=exp(x^2)"], 2, "601398415f81adbcc9688ead20b59bd50d5db1c1727b2229b7add78f6c4faae6"),
-    "domain-nested-function": (["series", "--field=sin(exp(x))"], 2, "356858e3942eaf1abc6eae0baa9d6287889722c943ab17128161ac572c873bd6"),
-    "domain-exp-of-a-constant": (["series", "--field=exp(1)"], 2, "601398415f81adbcc9688ead20b59bd50d5db1c1727b2229b7add78f6c4faae6"),
-    "domain-sin-of-i-squared": (["series", "--field=sin(i*i*x)"], 2, "86c513970359062205ec6848e7dcc229f921a708794ab81f0edec64355036985"),
-    "domain-flow-needs-gaussian": (["flow", "--field=x+i"], 2, "86c513970359062205ec6848e7dcc229f921a708794ab81f0edec64355036985"),
+    "domain-exp-of-a-square": (
+        ["series", "--field=exp(x^2)"],
+        2, "601398415f81adbcc9688ead20b59bd50d5db1c1727b2229b7add78f6c4faae6",
+    ),
+    "domain-nested-function": (
+        ["series", "--field=sin(exp(x))"],
+        2, "356858e3942eaf1abc6eae0baa9d6287889722c943ab17128161ac572c873bd6",
+    ),
+    "domain-exp-of-a-constant": (
+        ["series", "--field=exp(1)"],
+        2, "601398415f81adbcc9688ead20b59bd50d5db1c1727b2229b7add78f6c4faae6",
+    ),
+    "domain-sin-of-i-squared": (
+        ["series", "--field=sin(i*i*x)"],
+        2, "86c513970359062205ec6848e7dcc229f921a708794ab81f0edec64355036985",
+    ),
+    "domain-flow-needs-gaussian": (
+        ["flow", "--field=x+i"],
+        2, "86c513970359062205ec6848e7dcc229f921a708794ab81f0edec64355036985",
+    ),
     # usage errors, exit 3
-    "usage-order-t-zero": (["series", "--field=x", "--order-t=0"], 3, "7f63af4fdf65b325673d3b67b32b5641831ed4268e4818d8d05b21c924ebac41"),
-    "usage-order-x-zero": (["flow", "--field=x", "--order-x=0"], 3, "1e69c0a9e079af13aa85a3bd36e9fd16ef1c1886c1bf1770062fd1e56fa3f9bc"),
+    "usage-order-t-zero": (
+        ["series", "--field=x", "--order-t=0"],
+        3, "7f63af4fdf65b325673d3b67b32b5641831ed4268e4818d8d05b21c924ebac41",
+    ),
+    "usage-order-x-zero": (
+        ["flow", "--field=x", "--order-x=0"],
+        3, "1e69c0a9e079af13aa85a3bd36e9fd16ef1c1886c1bf1770062fd1e56fa3f9bc",
+    ),
     "usage-order-t-above-order-x": (
         ["series", "--field=x", "--order-t", "20", "--order-x", "16"],
         3, "7f63af4fdf65b325673d3b67b32b5641831ed4268e4818d8d05b21c924ebac41",
     ),
     "usage-order-x-not-an-integer": (
-        ["series", "--field=x", "--order-x", "1/2"], 3, "d9e108c7a03b6a3e212c2c91951707340c5d61ee5d70f898547c6264977cb90c",
+        ["series", "--field=x", "--order-x", "1/2"],
+        3, "d9e108c7a03b6a3e212c2c91951707340c5d61ee5d70f898547c6264977cb90c",
     ),
     "usage-unknown-domain": (
-        ["series", "--field=x", "--domain=real"], 3, "034d75baef38ab4dacf24a815a102dce6d37012cde1d3d5f69392d190dcc67a6",
+        ["series", "--field=x", "--domain=real"],
+        3, "034d75baef38ab4dacf24a815a102dce6d37012cde1d3d5f69392d190dcc67a6",
     ),
-    "usage-unknown-format": (["flow", "--field=x", "--format=xml"], 3, "3ea6077eecef286d6fa8c5fda9b63b9185ce698621d4269c71486c266dc30bc8"),
-    "usage-missing-field": (["series"], 3, "d418dedbf25993fc3b53b67710e5d52e51cac65db4f9b34b609c19d80dcabb4c"),
-    "usage-unknown-command": (["bogus-command"], 3, "117749ede7d297152e25090b425bec0fbda99ace7ba823c09d1a222e96a7b2d1"),
+    "usage-unknown-format": (
+        ["flow", "--field=x", "--format=xml"],
+        3, "3ea6077eecef286d6fa8c5fda9b63b9185ce698621d4269c71486c266dc30bc8",
+    ),
+    "usage-missing-field": (
+        ["series"],
+        3, "d418dedbf25993fc3b53b67710e5d52e51cac65db4f9b34b609c19d80dcabb4c",
+    ),
+    "usage-unknown-command": (
+        ["bogus-command"],
+        3, "117749ede7d297152e25090b425bec0fbda99ace7ba823c09d1a222e96a7b2d1",
+    ),
     "usage-unknown-flag": (
-        ["series", "--field=x", "--bogus-flag", "1"], 3, "cc00e830d3a2e1a22c53c397463c98d8807a7fab347799dfb55f7f9d2a9c5067",
+        ["series", "--field=x", "--bogus-flag", "1"],
+        3, "cc00e830d3a2e1a22c53c397463c98d8807a7fab347799dfb55f7f9d2a9c5067",
     ),
     "usage-part-with-leading-minus": (
-        ["decompose", "--mode", "sum", "--part", "-x"], 3, "ada5839096da90e8aa33551f65a299f129029c7797d2e679800c715c12bbe3c6",
+        ["decompose", "--mode", "sum", "--part", "-x"],
+        3, "ada5839096da90e8aa33551f65a299f129029c7797d2e679800c715c12bbe3c6",
     ),
     "usage-field-with-leading-minus": (
-        ["series", "--field", "-x"], 3, "54131180239e187718355582d0d594d6d6601abb9e6d21e6bd3bbce828851dd8",
+        ["series", "--field", "-x"],
+        3, "54131180239e187718355582d0d594d6d6601abb9e6d21e6bd3bbce828851dd8",
+    ),
+    # expressions nest at most 100 levels deep; deeper input is a parse error
+    "series-depth-100-parentheses": (
+        ["series", "--field=" + "(" * 99 + "x" + ")" * 99, "--order-x=4", "--order-t=2"],
+        0, "460e791c1a8023c2b69ef50e3eb902852caefbf89ba19a50d1ea8ca87f3dd1ad",
+    ),
+    "series-depth-101-parentheses": (
+        ["series", "--field=" + "(" * 100 + "x" + ")" * 100, "--order-x=4", "--order-t=2"],
+        1, "c8368fc4583f510575ec8329c89395b70794dc79216d5ea0c103ea48a0eb37fa",
+    ),
+    "series-depth-100-product": (
+        ["series", "--field=" + "*".join(["x"] * 100), "--order-x=4", "--order-t=2"],
+        0, "a227b497e96f1224a391babe9555ad522929ca07a5032d4087bdfcc11428f83f",
+    ),
+    "series-depth-101-product": (
+        ["series", "--field=" + "*".join(["x"] * 101), "--order-x=4", "--order-t=2"],
+        1, "68b9a2417da8793580586a09ad6f0809029504334843d8bde65b5484ad2ed05c",
+    ),
+    "flow-depth-100-minus-signs-gaussian": (
+        ["flow", "--field=" + "-" * 99 + "x", "--domain=gaussian", "--order-x=4",
+         "--order-t=2", "--format=json"],
+        0, "af3f17d254b5075c1c9949d5a553dd9721c75e8b6b15526f4d21d04366563fdf",
+    ),
+    "eval-depth-100-sum": (
+        ["eval", "--field=" + "+".join(["x"] * 100), "--x=0.1", "--t=0.01"],
+        0, "44df6b87d38affce38ed04ea3a259b2f99963c11f4c831c646315c58d0bc9162",
+    ),
+    "eval-depth-100-product": (
+        ["eval", "--field=" + "*".join(["x"] * 100), "--x=0.1", "--t=0.1"],
+        0, "e5411465dff084166a52273129b7ede9845fe744861d9ae230d292b13862260e",
+    ),
+    "series-198-parentheses": (
+        ["series", "--field=" + "(" * 198 + "x" + ")" * 198],
+        1, "6ae0a99c99f995e134a56a41cfc38e1f047062b2a27ab9bd1da6648126297068",
+    ),
+    "series-991-factors": (
+        ["series", "--field=" + "*".join(["x"] * 991)],
+        1, "68b9a2417da8793580586a09ad6f0809029504334843d8bde65b5484ad2ed05c",
+    ),
+    "eval-992-terms": (
+        ["eval", "--field=" + "+".join(["x"] * 992), "--x=0.1", "--t=0.1"],
+        1, "68b9a2417da8793580586a09ad6f0809029504334843d8bde65b5484ad2ed05c",
     ),
 }
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from flowring import expr
 from flowring.errors import DomainRequiredError, ParseError, UnsupportedArgumentError
 from flowring.expr import (
+    MAX_DEPTH,
     Add,
     Const,
     Cos,
@@ -25,6 +26,7 @@ from flowring.expr import (
     series_from_text,
 )
 from flowring.hurwitz import HurwitzSeries
+from flowring.oracle import eval_field, rk4_solve
 from flowring.scalars import Domain, GaussianRational
 from flowring.verify import PARSER_CORPUS, random_series
 
@@ -148,6 +150,46 @@ _trees = st.recursive(
 def test_round_trip_generated_trees(tree):
     # parser-producible shapes: printing then parsing is structurally lossless
     assert parse(format_expr(tree)) == tree
+
+
+def _nested(depth):
+    """Inputs of the given depth: parentheses, a product, a sum, minus signs, a function."""
+    return {
+        "parentheses": "(" * (depth - 1) + "x" + ")" * (depth - 1),
+        "product": "*".join(["x"] * depth),
+        "sum": "+".join(["x"] * depth),
+        "minus-signs": "-" * (depth - 1) + "x",
+        "function": "(" * (depth - 2) + "exp(x)" + ")" * (depth - 2),
+        "power": "(" * (depth - 2) + "x^2" + ")" * (depth - 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_nested(MAX_DEPTH)))
+def test_input_at_the_depth_bound_passes_every_walk(name):
+    node = parse(_nested(MAX_DEPTH)[name])
+    assert parse(format_expr(node)) == node
+    assert (polynomial_coefficients(node) is None) == (name == "function")
+    for domain in Domain:
+        elaborate(node, 4, domain)
+    assert math.isfinite(eval_field(node)(0.1))
+    assert math.isfinite(rk4_solve(node, 0.1, 0.1, 16)[-1])
+
+
+_PAST_THE_BOUND = {
+    **_nested(MAX_DEPTH + 1),
+    "parentheses-198": "(" * 198 + "x" + ")" * 198,
+    "product-991": "*".join(["x"] * 991),
+    "parentheses-10000": "(" * 10**4 + "x" + ")" * 10**4,
+    "minus-signs-10000": "-" * 10**4 + "x",
+    "functions-10000": "exp(" * 10**4 + "x" + ")" * 10**4,
+    "product-10000": "*".join(["x"] * 10**4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAST_THE_BOUND))
+def test_input_past_the_depth_bound_is_a_parse_error(name):
+    with pytest.raises(ParseError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        parse(_PAST_THE_BOUND[name])
 
 
 def test_elaborate_anchors():
