@@ -304,6 +304,15 @@ GOLDEN = {
         ["series", "--domain=gaussian", "--field=ix^2-1/2", "--order-x=5", "--order-t=3"],
         0, "d71f831a3b3f91ab6f31e4f4133bd97e0b13704939acd1149c906a89cadba337",
     ),
+    # a rational minus a Gaussian scalar, in _poly: GaussianRational.__rsub__
+    "series-gaussian-scale-of-a-difference": (
+        ["series", "--domain=gaussian", "--field=exp(x-i*x)", "--order-x=4", "--order-t=2"],
+        0, "9701a88e85b59cfef1f911c9726dc0e7a6925eb37074553d1f69e66d44f72d17",
+    ),
+    "eval-gaussian-field-through-i-squared": (
+        ["eval", "--domain=gaussian", "--field=1-i*i*x", "--x=0.1", "--t=0.1"],
+        0, "939944d2e7d6662e3163fd609c7d91401852bcce2e257cfd90c42facaecb9d6a",
+    ),
     "series-gaussian-real-field": (
         ["series", "--domain=gaussian", "--field=x^2+1", "--order-x=5", "--order-t=3"],
         0, "2027090a1e7d6f5053dfae29cb92798307e7a246ec1839d12b570e4926baf77e",
