@@ -153,7 +153,7 @@ def test_round_trip_generated_trees(tree):
 
 
 def _nested(depth):
-    """Inputs of the given depth: parentheses, a product, a sum, minus signs, a function."""
+    """One input of the given depth for each way of nesting."""
     return {
         "parentheses": "(" * (depth - 1) + "x" + ")" * (depth - 1),
         "product": "*".join(["x"] * depth),
