@@ -150,8 +150,7 @@ def box_dot(a, b):
 
 def scalar_action(value, seq):
     """Scale term n by value**n; equals the sequence of the scaled field."""
-    powers = HurwitzSeries.exp(value, seq.order_t, seq.domain).coeffs
-    terms = [term.scale(p) for term, p in zip(seq.terms[1:], powers[1:])]
+    terms = [term.scale(value**n) for n, term in enumerate(seq.terms[1:], 1)]
     return AutonomousSequence(seq.field.scale(value), [seq.terms[0], *terms])
 
 

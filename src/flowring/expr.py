@@ -14,6 +14,11 @@ spaces.  Adjacent letters split greedily into the known names, so "ix"
 reads as i*x.  The argument of exp/sin/cos must reduce to a scalar
 multiple of x; the scalar is folded into the node at parse time.
 
+A parsed expression is a tree of six node classes: Const (a rational or
+Gaussian scalar), Var (x), Neg, Pow (a non-negative integer exponent),
+BinOp (op "+", "-" or "*", adjacency included) and Func (name "exp",
+"sin" or "cos", with the folded scalar as its scale).
+
 An expression nests at most MAX_DEPTH = 100 levels deep.  A number, i
 or x is one level, and each operator (a leading minus and adjacency
 included) and each pair of parentheses (those of exp/sin/cos included)
@@ -29,7 +34,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import DomainRequiredError, ParseError, UnsupportedArgumentError
 from .hurwitz import HurwitzSeries, power_truncating
@@ -47,19 +52,8 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
+class BinOp:
+    op: str  # "+", "-" or "*"
     left: object
     right: object
 
@@ -76,17 +70,8 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Exp:
-    scale: object
-
-
-@dataclass(frozen=True)
-class Sin:
-    scale: object
-
-
-@dataclass(frozen=True)
-class Cos:
+class Func:
+    name: str  # "exp", "sin" or "cos"
     scale: object
 
 
@@ -96,6 +81,8 @@ MAX_DEPTH = 100
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _WORDS = ("exp", "sin", "cos", "i", "x")
 _ATOM_EXPECTED = ("number", "'x'", "'i'", "'exp'", "'sin'", "'cos'", "'('")
+_OPS = {"+": add, "-": sub, "*": mul}
+_SIGNS = {"exp": (1, 1, 1, 1), "sin": (0, 1, 0, -1), "cos": (1, 0, -1, 0)}
 
 
 @dataclass(frozen=True)
@@ -188,8 +175,7 @@ class _Parser:
         while self.peek().kind in ("plus", "minus"):
             op = self.advance()
             right, right_depth = self.parse_term()
-            node = Add(node, right) if op.kind == "plus" else Sub(node, right)
-            depth = self.deeper(op, max(depth, right_depth))
+            node, depth = BinOp(op.value, node, right), self.deeper(op, max(depth, right_depth))
         return node, depth
 
     def parse_term(self):
@@ -201,7 +187,7 @@ class _Parser:
             elif tok.kind not in ("number", "word", "lparen"):
                 return node, depth
             right, right_depth = self.parse_unary()
-            node, depth = Mul(node, right), self.deeper(tok, max(depth, right_depth))
+            node, depth = BinOp("*", node, right), self.deeper(tok, max(depth, right_depth))
 
     def parse_unary(self):
         tok = self.peek()
@@ -253,7 +239,7 @@ class _Parser:
         if tok.kind == "lparen":
             return inner, depth
         scale = _linear_scale(inner, tok.value, tok.offset)
-        return {"exp": Exp, "sin": Sin, "cos": Cos}[tok.value](scale), depth
+        return Func(tok.value, scale), depth
 
 
 def _describe(tok):
@@ -287,22 +273,18 @@ def _poly(node):
     if isinstance(node, Neg):
         inner = _poly(node.child)
         return None if inner is None else {k: -c for k, c in inner.items()}
-    if isinstance(node, (Add, Sub)):
+    if isinstance(node, BinOp):
         left, right = _poly(node.left), _poly(node.right)
         if left is None or right is None:
             return None
-        op = add if isinstance(node, Add) else sub
+        if node.op == "*":
+            return _poly_mul(left, right)
         out = dict(left)
         for k, c in right.items():
-            total = op(out.pop(k, 0), c)
+            total = _OPS[node.op](out.pop(k, 0), c)
             if total:
                 out[k] = total
         return out
-    if isinstance(node, Mul):
-        left, right = _poly(node.left), _poly(node.right)
-        if left is None or right is None:
-            return None
-        return _poly_mul(left, right)
     if isinstance(node, Pow):
         base = _poly(node.base)
         if base is None:
@@ -350,30 +332,20 @@ def elaborate(node, order, domain=Domain.RATIONAL):
         return HurwitzSeries.constant(_scalar_series(node.value, domain), order, domain)
     if isinstance(node, Var):
         return HurwitzSeries.x(order, domain)
-    if isinstance(node, Add):
-        return elaborate(node.left, order, domain) + elaborate(node.right, order, domain)
-    if isinstance(node, Sub):
-        return elaborate(node.left, order, domain) - elaborate(node.right, order, domain)
-    if isinstance(node, Mul):
-        return elaborate(node.left, order, domain) * elaborate(node.right, order, domain)
+    if isinstance(node, BinOp):
+        left, right = elaborate(node.left, order, domain), elaborate(node.right, order, domain)
+        return _OPS[node.op](left, right)
     if isinstance(node, Neg):
         return -elaborate(node.child, order, domain)
     if isinstance(node, Pow):
         return power_truncating(elaborate(node.base, order, domain), node.exponent)
-    if isinstance(node, Exp):
-        return HurwitzSeries.exp(_scalar_series(node.scale, domain), order, domain)
-    if isinstance(node, Sin):
-        return _trig_series(node.scale, (0, 1, 0, -1), order, domain)
-    if isinstance(node, Cos):
-        return _trig_series(node.scale, (1, 0, -1, 0), order, domain)
+    if isinstance(node, Func):
+        # coefficient k of exp, sin or cos(a x) is signs[k % 4] * a**k
+        powers = HurwitzSeries.exp(_scalar_series(node.scale, domain), order, domain)
+        signs = _SIGNS[node.name]
+        parts = [list(map(mul, cycle(signs), part)) for part in powers.parts]
+        return HurwitzSeries.from_integers(parts, powers.den, domain)
     raise TypeError(f"not a field expression: {node!r}")
-
-
-def _trig_series(scale, signs, order, domain):
-    """Hurwitz coefficients signs[k % 4] * scale**k of sin or cos(scale x)."""
-    powers = HurwitzSeries.exp(_scalar_series(scale, domain), order, domain).coeffs
-    coeffs = [sign * p if sign else domain.zero() for sign, p in zip(cycle(signs), powers)]
-    return HurwitzSeries(coeffs, domain)
 
 
 def series_from_text(text, order, domain=Domain.RATIONAL):
@@ -417,27 +389,17 @@ def _fmt(node, parent_prec):
         text, prec = _const_text(node.value)
     elif isinstance(node, Var):
         text, prec = "x", _PREC_ATOM
-    elif isinstance(node, Add):
-        text = f"{_fmt(node.left, _PREC_ADD)}+{_fmt(node.right, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
-    elif isinstance(node, Sub):
-        text = f"{_fmt(node.left, _PREC_ADD)}-{_fmt(node.right, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
-    elif isinstance(node, Mul):
-        text = f"{_fmt(node.left, _PREC_MUL)}*{_fmt(node.right, _PREC_MUL + 1)}"
-        prec = _PREC_MUL
+    elif isinstance(node, BinOp):
+        prec = _PREC_MUL if node.op == "*" else _PREC_ADD
+        text = f"{_fmt(node.left, prec)}{node.op}{_fmt(node.right, prec + 1)}"
     elif isinstance(node, Neg):
         text = f"-{_fmt(node.child, _PREC_NEG)}"
         prec = _PREC_NEG
     elif isinstance(node, Pow):
         text = f"{_fmt(node.base, _PREC_POW + 1)}^{node.exponent}"
         prec = _PREC_POW
-    elif isinstance(node, Exp):
-        text, prec = f"exp({_scale_text(node.scale)})", _PREC_ATOM
-    elif isinstance(node, Sin):
-        text, prec = f"sin({_scale_text(node.scale)})", _PREC_ATOM
-    elif isinstance(node, Cos):
-        text, prec = f"cos({_scale_text(node.scale)})", _PREC_ATOM
+    elif isinstance(node, Func):
+        text, prec = f"{node.name}({_scale_text(node.scale)})", _PREC_ATOM
     else:
         raise TypeError(f"not a field expression: {node!r}")
     if prec < parent_prec:

@@ -46,7 +46,7 @@ from .errors import (
     OrderExhaustedError,
     OutOfRangeError,
 )
-from .expr import Exp, polynomial_coefficients
+from .expr import Func, polynomial_coefficients
 from .hurwitz import (
     HurwitzSeries,
     _convolve_parts,
@@ -378,8 +378,8 @@ def match_closed_form(node):
     """
     coeffs = polynomial_coefficients(node)
     if coeffs is None:
-        if isinstance(node, Exp) and not isinstance(node.scale, GaussianRational) \
-                and node.scale != 0:
+        if isinstance(node, Func) and node.name == "exp" \
+                and not isinstance(node.scale, GaussianRational) and node.scale != 0:
             return ClosedFormFlow(FlowKind.EXPFIELD, (node.scale,))
         return None
     if any(isinstance(c, GaussianRational) and c.im != 0 for c in coeffs.values()):

@@ -22,11 +22,11 @@ from .errors import DomainMismatchError, NumericBlowupError, OutOfRangeError
 from .scalars import GaussianRational
 
 _BINARY = {
-    _expr.Add: lambda left, right: lambda y: left(y) + right(y),
-    _expr.Sub: lambda left, right: lambda y: left(y) - right(y),
-    _expr.Mul: lambda left, right: lambda y: left(y) * right(y),
+    "+": lambda left, right: lambda y: left(y) + right(y),
+    "-": lambda left, right: lambda y: left(y) - right(y),
+    "*": lambda left, right: lambda y: left(y) * right(y),
 }
-_ELEMENTARY = {_expr.Exp: math.exp, _expr.Sin: math.sin, _expr.Cos: math.cos}
+_ELEMENTARY = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
 
 
 def _double(value):
@@ -56,8 +56,8 @@ def eval_field(node):
     if kind is _expr.Const:
         value = _double(node.value)
         return lambda y: value
-    if kind in _BINARY:
-        return _BINARY[kind](eval_field(node.left), eval_field(node.right))
+    if kind is _expr.BinOp:
+        return _BINARY[node.op](eval_field(node.left), eval_field(node.right))
     if kind is _expr.Neg:
         child = eval_field(node.child)
         return lambda y: -child(y)
@@ -71,8 +71,8 @@ def eval_field(node):
                 return math.inf
 
         return power
-    if kind in _ELEMENTARY:
-        fn, scale = _ELEMENTARY[kind], _double(node.scale)
+    if kind is _expr.Func:
+        fn, scale = _ELEMENTARY[node.name], _double(node.scale)
 
         def elementary(y):
             arg = scale * y

@@ -9,15 +9,11 @@ from flowring import expr
 from flowring.errors import DomainRequiredError, ParseError, UnsupportedArgumentError
 from flowring.expr import (
     MAX_DEPTH,
-    Add,
+    BinOp,
     Const,
-    Cos,
-    Exp,
-    Mul,
+    Func,
     Neg,
     Pow,
-    Sin,
-    Sub,
     Var,
     elaborate,
     format_expr,
@@ -32,29 +28,31 @@ from flowring.verify import PARSER_CORPUS, random_series
 
 
 def test_parse_examples():
-    assert parse("x^2 + 1") == Add(Pow(Var(), 2), Const(Fraction(1)))
-    assert parse("(1-x)*(x^2+1)") == Mul(
-        Sub(Const(Fraction(1)), Var()), Add(Pow(Var(), 2), Const(Fraction(1)))
+    assert parse("x^2 + 1") == BinOp("+", Pow(Var(), 2), Const(Fraction(1)))
+    assert parse("(1-x)*(x^2+1)") == BinOp(
+        "*", BinOp("-", Const(Fraction(1)), Var()), BinOp("+", Pow(Var(), 2), Const(Fraction(1)))
     )
-    assert parse("exp(x) + sin(x)") == Add(Exp(Fraction(1)), Sin(Fraction(1)))
+    assert parse("exp(x) + sin(x)") == BinOp(
+        "+", Func("exp", Fraction(1)), Func("sin", Fraction(1))
+    )
 
 
 def test_parse_precedence_and_adjacency():
-    assert parse("2x") == Mul(Const(Fraction(2)), Var())
-    assert parse("2*x^3") == Mul(Const(Fraction(2)), Pow(Var(), 3))
+    assert parse("2x") == BinOp("*", Const(Fraction(2)), Var())
+    assert parse("2*x^3") == BinOp("*", Const(Fraction(2)), Pow(Var(), 3))
     assert parse("-x^2") == Neg(Pow(Var(), 2))
-    assert parse("1-x*x") == Sub(Const(Fraction(1)), Mul(Var(), Var()))
-    assert parse("ix") == Mul(Const(GaussianRational(0, 1)), Var())
-    assert parse("(x)(x)") == Mul(Var(), Var())
+    assert parse("1-x*x") == BinOp("-", Const(Fraction(1)), BinOp("*", Var(), Var()))
+    assert parse("ix") == BinOp("*", Const(GaussianRational(0, 1)), Var())
+    assert parse("(x)(x)") == BinOp("*", Var(), Var())
 
 
 def test_parse_function_scales():
-    assert parse("exp(2x)") == Exp(Fraction(2))
-    assert parse("exp(-x)") == Exp(Fraction(-1))
-    assert parse("exp(i*x)") == Exp(GaussianRational(0, 1))
-    assert parse("sin(2x)") == Sin(Fraction(2))
-    assert parse("cos(-1/2x)") == Cos(Fraction(-1, 2))
-    assert parse("exp(0x)") == Exp(Fraction(0))
+    assert parse("exp(2x)") == Func("exp", Fraction(2))
+    assert parse("exp(-x)") == Func("exp", Fraction(-1))
+    assert parse("exp(i*x)") == Func("exp", GaussianRational(0, 1))
+    assert parse("sin(2x)") == Func("sin", Fraction(2))
+    assert parse("cos(-1/2x)") == Func("cos", Fraction(-1, 2))
+    assert parse("exp(0x)") == Func("exp", Fraction(0))
     for text in ("exp(i*x*0+x)", "exp((i-i)*x+x)", "sin(i*x-i*x+x)"):
         scale = parse(text).scale  # a cancelled i leaves a rational scale
         assert scale == 1 and isinstance(scale, Fraction)
@@ -129,16 +127,16 @@ _leaves = st.one_of(
     ),
     st.just(Var()),
     st.just(Const(GaussianRational(0, 1))),
-    st.builds(Exp, _scales),
-    st.builds(Sin, _scales),
-    st.builds(Cos, _scales),
+    st.builds(Func, st.just("exp"), _scales),
+    st.builds(Func, st.just("sin"), _scales),
+    st.builds(Func, st.just("cos"), _scales),
 )
 _trees = st.recursive(
     _leaves,
     lambda inner: st.one_of(
-        st.builds(Add, inner, inner),
-        st.builds(Sub, inner, inner),
-        st.builds(Mul, inner, inner),
+        st.builds(BinOp, st.just("+"), inner, inner),
+        st.builds(BinOp, st.just("-"), inner, inner),
+        st.builds(BinOp, st.just("*"), inner, inner),
         st.builds(Neg, inner),
         st.builds(Pow, inner, st.integers(min_value=0, max_value=3)),
     ),
@@ -199,6 +197,26 @@ def test_elaborate_anchors():
     assert series_from_text("cos(x)", 4) == HurwitzSeries.make([1, 0, -1, 0, 1])
 
 
+_SIGN_PATTERNS = {"exp": (1, 1, 1, 1), "sin": (0, 1, 0, -1), "cos": (1, 0, -1, 0)}
+_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_SIGN_PATTERNS)),
+    _rationals | st.builds(GaussianRational, _rationals, _rationals),
+    st.booleans(),
+    st.integers(1, 64),
+)
+def test_function_series_is_the_signed_power_sequence(name, a, gaussian, order):
+    # coefficient k of exp, sin or cos(a x) is signs[k % 4] * a**k, computed here from scalars
+    domain = Domain.GAUSSIAN if gaussian or isinstance(a, GaussianRational) else Domain.RATIONAL
+    signs = _SIGN_PATTERNS[name]
+    series = elaborate(Func(name, a), order, domain)
+    assert series.domain is domain
+    assert series.coeffs == tuple(signs[k % 4] * a**k for k in range(order + 1))
+
+
 def test_elaborate_euler_identity():
     euler = series_from_text("-1/2*i*exp(i*x) + 1/2*i*exp(-i*x)", 9, Domain.GAUSSIAN)
     assert euler == series_from_text("sin(x)", 9, Domain.GAUSSIAN)
@@ -222,8 +240,9 @@ def test_elaborate_is_a_homomorphism():
         b = random_series(rng, 8)
         expr_a = _series_to_expr(a)
         expr_b = _series_to_expr(b)
-        assert elaborate(Add(expr_a, expr_b), 8) == a + b
-        assert elaborate(Mul(expr_a, expr_b), 8) == a * b
+        assert elaborate(BinOp("+", expr_a, expr_b), 8) == a + b
+        assert elaborate(BinOp("-", expr_a, expr_b), 8) == a - b
+        assert elaborate(BinOp("*", expr_a, expr_b), 8) == a * b
         assert elaborate(Neg(expr_a), 8) == -a
 
 
@@ -232,8 +251,8 @@ def _series_to_expr(series):
     # ordinary coefficients
     node = None
     for k, c in enumerate(series.to_polynomial()):
-        term = Mul(Const(c), Pow(Var(), k))
-        node = term if node is None else Add(node, term)
+        term = BinOp("*", Const(c), Pow(Var(), k))
+        node = term if node is None else BinOp("+", node, term)
     return node
 
 
@@ -253,9 +272,9 @@ _poly_trees = st.recursive(
         st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
         | st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2)),
     ),
-    lambda children: st.builds(Add, children, children)
-    | st.builds(Sub, children, children)
-    | st.builds(Mul, children, children)
+    lambda children: st.builds(BinOp, st.just("+"), children, children)
+    | st.builds(BinOp, st.just("-"), children, children)
+    | st.builds(BinOp, st.just("*"), children, children)
     | st.builds(Neg, children)
     | st.builds(Pow, children, st.integers(0, 3)),
     max_leaves=8,
@@ -272,7 +291,7 @@ def _degree_bound(node):
     if isinstance(node, Pow):
         return _degree_bound(node.base) * node.exponent
     left, right = _degree_bound(node.left), _degree_bound(node.right)
-    return left + right if isinstance(node, Mul) else max(left, right)
+    return left + right if node.op == "*" else max(left, right)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -85,12 +86,9 @@ def _reference_eval_field(node, y):
         return float(v)
     if isinstance(node, expr.Var):
         return float(y)
-    if isinstance(node, expr.Add):
-        return _reference_eval_field(node.left, y) + _reference_eval_field(node.right, y)
-    if isinstance(node, expr.Sub):
-        return _reference_eval_field(node.left, y) - _reference_eval_field(node.right, y)
-    if isinstance(node, expr.Mul):
-        return _reference_eval_field(node.left, y) * _reference_eval_field(node.right, y)
+    if isinstance(node, expr.BinOp):
+        op = {"+": operator.add, "-": operator.sub, "*": operator.mul}[node.op]
+        return op(_reference_eval_field(node.left, y), _reference_eval_field(node.right, y))
     if isinstance(node, expr.Neg):
         return -_reference_eval_field(node.child, y)
     if isinstance(node, expr.Pow):
@@ -104,7 +102,7 @@ def _reference_eval_field(node, y):
             raise DomainMismatchError("numeric evaluation needs a real field")
         scale = scale.re
     arg = float(scale) * y
-    fn = {expr.Exp: math.exp, expr.Sin: math.sin, expr.Cos: math.cos}[type(node)]
+    fn = {"exp": math.exp, "sin": math.sin, "cos": math.cos}[node.name]
     try:
         return fn(arg)
     except OverflowError:
@@ -145,13 +143,13 @@ def _gaussian(parts):
     return st.builds(GaussianRational, parts, st.just(Fraction(0)) | parts)
 
 
-_elementary = [st.builds(kind, _scales | _gaussian(_scales))
-               for kind in (expr.Exp, expr.Sin, expr.Cos)]
+_elementary = [st.builds(expr.Func, st.just(name), _scales | _gaussian(_scales))
+               for name in ("exp", "sin", "cos")]
 _fields = st.recursive(
     st.one_of([st.just(expr.Var()), st.builds(expr.Const, _fractions | _gaussian(_fractions))]
               + _elementary),
-    lambda children: st.one_of([st.builds(kind, children, children)
-                                for kind in (expr.Add, expr.Sub, expr.Mul)])
+    lambda children: st.one_of([st.builds(expr.BinOp, st.just(op), children, children)
+                                for op in ("+", "-", "*")])
     | st.builds(expr.Neg, children)
     | st.builds(expr.Pow, children, st.integers(0, 60)),
     max_leaves=12,
