@@ -12,6 +12,7 @@ from .autonomous import (
 from .bell import bell_polynomial, partial_bell, partition_weight, partitions
 from .errors import (
     ClosedFormDomainError,
+    DigitLimitError,
     DomainMismatchError,
     DomainRequiredError,
     FlowringError,

@@ -14,6 +14,7 @@ import sys
 
 from .errors import (
     ClosedFormDomainError,
+    DigitLimitError,
     DomainMismatchError,
     DomainRequiredError,
     NotAUnitError,
@@ -39,6 +40,7 @@ EXIT_USAGE = 3
 EXIT_VERIFY = 4
 
 _DOMAIN_ERRORS = (
+    DigitLimitError,
     DomainMismatchError,
     DomainRequiredError,
     NotAUnitError,

@@ -51,3 +51,7 @@ class ClosedFormDomainError(FlowringError):
 
 class NumericBlowupError(FlowringError):
     """A numeric integration produced a non-finite value."""
+
+
+class DigitLimitError(FlowringError):
+    """A number has more digits than Python converts to text (sys.get_int_max_str_digits())."""

@@ -31,6 +31,7 @@ Python's default recursion limit.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
@@ -111,6 +112,11 @@ def _tokenize(text):
                 value = Fraction(literal)
             except ZeroDivisionError:
                 raise ParseError("zero denominator in rational literal", pos) from None
+            except ValueError:  # raised by text-to-int conversion beyond the interpreter's limit
+                raise ParseError(
+                    f"rational literal has more than {sys.get_int_max_str_digits()} digits "
+                    "in its numerator or denominator", pos,
+                ) from None
             tokens.append(_Token("number", value, pos, literal))
             pos = m.end()
             continue

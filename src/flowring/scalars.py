@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 
-from .errors import DomainMismatchError, DomainRequiredError, OutOfRangeError
+from .errors import DigitLimitError, DomainMismatchError, DomainRequiredError, OutOfRangeError
 
 
 def power(base, exponent, one, mul=operator.mul):
@@ -152,19 +153,25 @@ _COMBO_RE = re.compile(rf"^({_RAT})([+-])(\d+(?:/\d+)?)?i$")
 def format_scalar(value):
     """Canonical text for a scalar: "p/q", "p/q+r/si", "i", "-i", ...
 
-    parse_scalar round-trips this output bit exactly.
+    parse_scalar round-trips this output bit exactly.  A numerator or
+    denominator longer than Python converts to text raises DigitLimitError.
     """
-    if not isinstance(value, GaussianRational):
-        return str(Fraction(value))
-    if value.im == 0:
-        return str(value.re)
-    mag = abs(value.im)
-    imag = "i" if mag == 1 else f"{mag}i"
-    if value.re == 0:
-        sign = "-" if value.im < 0 else ""
-        return sign + imag
-    sign = "+" if value.im > 0 else "-"
-    return f"{value.re}{sign}{imag}"
+    real, im = (value.re, value.im) if isinstance(value, GaussianRational) else (Fraction(value), 0)
+    try:
+        if im == 0:
+            return str(real)
+        mag = abs(im)
+        imag = "i" if mag == 1 else f"{mag}i"
+        if real == 0:
+            sign = "-" if im < 0 else ""
+            return sign + imag
+        sign = "+" if im > 0 else "-"
+        return f"{real}{sign}{imag}"
+    except ValueError:  # raised by int-to-text conversion beyond the interpreter's limit
+        raise DigitLimitError(
+            f"a scalar to print has more than {sys.get_int_max_str_digits()} digits, "
+            "the most Python converts to text"
+        ) from None
 
 
 def parse_scalar(text, domain=None):

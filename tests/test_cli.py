@@ -678,6 +678,44 @@ GOLDEN = {
         ["eval", "--field=" + "+".join(["x"] * 992), "--x=0.1", "--t=0.1"],
         1, "68b9a2417da8793580586a09ad6f0809029504334843d8bde65b5484ad2ed05c",
     ),
+    # Python converts at most 4300 digits between an int and its text: a longer
+    # literal is a parse error, a longer printed scalar a domain error
+    "series-literal-4300-digits": (
+        ["series", "--field=" + "7" * 4300 + "*x", "--order-x=2", "--order-t=1"],
+        0, "738f1a496b5fe6420ff579ddf317b809a0ac48f702cf5b51ec889a8def7af710",
+    ),
+    "series-literal-4301-digits": (
+        ["series", "--field=" + "7" * 4301 + "*x"],
+        1, "3dacbe4b2f2df7c825b1c6b97f61aa249b831c62bb75497ea65cc04cea4019e7",
+    ),
+    "series-denominator-4301-digits": (
+        ["series", "--field=1/" + "7" * 4301 + "*x"],
+        1, "3dacbe4b2f2df7c825b1c6b97f61aa249b831c62bb75497ea65cc04cea4019e7",
+    ),
+    "eval-exponent-4301-digits": (
+        ["eval", "--field=x^" + "7" * 4301, "--x=0.1", "--t=0.1"],
+        1, "47fabcbb71594936a55f089f4cb8f5aae92ecf92eb7973e3ac8c6c424641833e",
+    ),
+    "series-coefficient-beyond-digit-limit": (
+        ["series", "--field=(10^100)^100"],
+        2, "14909a6cac68a6c8ae9e2e5ca361ef23ca0b63d62ff9544c7f6155ac8d280588",
+    ),
+    "series-coefficient-beyond-digit-limit-json": (
+        ["series", "--field=(10^100)^100", "--format=json"],
+        2, "14909a6cac68a6c8ae9e2e5ca361ef23ca0b63d62ff9544c7f6155ac8d280588",
+    ),
+    "flow-term-beyond-digit-limit-json": (
+        ["flow", "--field=(10^100)^42*x^2", "--order-t=3", "--format=json"],
+        2, "14909a6cac68a6c8ae9e2e5ca361ef23ca0b63d62ff9544c7f6155ac8d280588",
+    ),
+    "decompose-coefficient-beyond-digit-limit": (
+        ["decompose", "--mode=sum", "--part=(10^100)^100", "--part=x"],
+        2, "681d6699e0d468009b093535297632447b7a97531b0e066781f8a6389a77a433",
+    ),
+    "decompose-coefficient-beyond-digit-limit-json": (
+        ["decompose", "--mode=sum", "--part=(10^100)^100", "--part=x", "--format=json"],
+        2, "14909a6cac68a6c8ae9e2e5ca361ef23ca0b63d62ff9544c7f6155ac8d280588",
+    ),
 }
 
 
@@ -688,6 +726,13 @@ def test_golden_output_digests(name, monkeypatch):
     code, out, err = run_cli(*argv)
     assert code == expected_code
     assert _sha256(f"{code}\n{out}\0{err}") == digest
+
+
+def test_a_bell_debug_value_beyond_the_digit_limit_is_a_usage_error():
+    # --b and --a are flags; Python's own message differs between versions
+    code, out, err = run_cli("bell-debug", "--n", "1", "--b", "7" * 4301, "--a", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: ") and "4301 digits" in err
 
 
 GARBAGE_FREE_RUNS = [
