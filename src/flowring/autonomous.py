@@ -58,9 +58,6 @@ class AutonomousSequence:
             return NotImplemented
         return self.field == other.field and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.field, self.terms))
-
     def __repr__(self):
         return f"AutonomousSequence[M={self.order_t}, field order {self.field.order}]"
 
@@ -79,13 +76,6 @@ class AutonomousSequence:
                 fact *= n
             acc = acc + term.eval_at(x) * (tpow / fact)
         return acc
-
-    def to_json_dict(self):
-        return {
-            "field": self.field.to_json_dict(),
-            "orderT": self.order_t,
-            "terms": [t.to_json_dict() for t in self.terms],
-        }
 
 
 def autonomous_sequence(f, order_t):

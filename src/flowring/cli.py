@@ -2,6 +2,9 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 parse error, 2 domain error, 3 invalid flags, 4 verification failure.
+A command's output is written only when it returns, so a command that
+fails writes nothing to stdout.  This module alone knows the JSON
+payloads and their key names.
 """
 
 from __future__ import annotations
@@ -9,21 +12,16 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import io
 import json
 import sys
 
 from .errors import (
-    ClosedFormDomainError,
-    DigitLimitError,
     DomainMismatchError,
-    DomainRequiredError,
-    NotAUnitError,
+    FlowringError,
     NumericBlowupError,
-    OrderExhaustedError,
-    OrderMismatchError,
     OutOfRangeError,
     ParseError,
-    UnsupportedArgumentError,
 )
 from .autonomous import autonomous_sequence
 from .bell import bell_polynomial
@@ -38,19 +36,6 @@ EXIT_PARSE = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 3
 EXIT_VERIFY = 4
-
-_DOMAIN_ERRORS = (
-    DigitLimitError,
-    DomainMismatchError,
-    DomainRequiredError,
-    NotAUnitError,
-    OrderExhaustedError,
-    OrderMismatchError,
-    UnsupportedArgumentError,
-    ClosedFormDomainError,
-    NumericBlowupError,
-    ZeroDivisionError,
-)
 
 
 class _UsageError(Exception):
@@ -132,9 +117,21 @@ def _series_rows(label, terms, out):
         out.write(f"{label.format(n=n)} {row}\n")
 
 
-def _flow_json(seq):
-    """JSON of a sequence read as a flow: the CLI names its terms "tcoeffs"."""
-    return {("tcoeffs" if k == "terms" else k): v for k, v in seq.to_json_dict().items()}
+def _series_json(series):
+    return {
+        "domain": series.domain.value,
+        "orderX": series.order,
+        "coeffs": [format_scalar(c) for c in series.coeffs],
+    }
+
+
+def _sequence_json(seq, key):
+    """JSON of a sequence, its terms under ``key``: "terms" for series, "tcoeffs" for flows."""
+    return {
+        "field": _series_json(seq.field),
+        "orderT": seq.order_t,
+        key: [_series_json(t) for t in seq.terms],
+    }
 
 
 def _json_text(value, indent=""):
@@ -165,7 +162,7 @@ def _cmd_series(args, out):
     field = elaborate(parse(args.field), args.order_x, domain)
     seq = autonomous_sequence(field, args.order_t)
     if args.format == "json":
-        out.write(_json_text(_flow_json(seq) if is_flow else seq.to_json_dict()) + "\n")
+        out.write(_json_text(_sequence_json(seq, "tcoeffs" if is_flow else "terms")) + "\n")
     else:
         out.write(f"field: {' '.join(format_scalar(c) for c in field.coeffs)}\n")
         _series_rows("t[{n}]:" if is_flow else "A[{n}]:", seq.terms, out)
@@ -196,7 +193,10 @@ def _cmd_eval(args, out):
         payload = {
             "series": series_value if is_real else [series_value.real, series_value.imag],
             "closed_form": closed_value,
-            "closed_form_kind": closed.to_json_dict() if closed else None,
+            "closed_form_kind": {
+                "kind": closed.kind.value,
+                "params": [format_scalar(p) for p in closed.params],
+            } if closed else None,
             "rk4": rk4_value,
         }
         out.write(_json_text(payload) + "\n")
@@ -220,8 +220,8 @@ def _cmd_decompose(args, out):
     if args.format == "json":
         payload = {
             "mode": args.mode,
-            "combined": _flow_json(result.combined),
-            "components": [_flow_json(c) for c in result.components],
+            "combined": _sequence_json(result.combined, "tcoeffs"),
+            "components": [_sequence_json(c, "tcoeffs") for c in result.components],
             "matches_direct": result.matches_direct,
         }
         out.write(_json_text(payload) + "\n")
@@ -276,20 +276,23 @@ def main(argv=None, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
+    buffer = io.StringIO()
     try:
         args = parser.parse_args(argv)
         if hasattr(args, "order_x"):
             _check_orders(args)
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, buffer)
     except (_UsageError, OutOfRangeError, ValueError) as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except ParseError as exc:
         err.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except _DOMAIN_ERRORS as exc:
+    except (FlowringError, ZeroDivisionError) as exc:
         err.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
+    out.write(buffer.getvalue())
+    return code
 
 
 if __name__ == "__main__":

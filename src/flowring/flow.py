@@ -318,9 +318,6 @@ class ClosedFormFlow:
             return f"x^2+{format_scalar(c)}"
         return f"x^2-{format_scalar(b)}*x+{format_scalar(c)}"
 
-    def to_json_dict(self):
-        return {"kind": self.kind.value, "params": [format_scalar(p) for p in self.params]}
-
 
 def closed_form_eval(cf, t, x):
     """IEEE double value of the closed form at (t, x), inside its domain.

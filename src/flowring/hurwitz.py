@@ -25,9 +25,8 @@ rule (three real convolutions for a Gaussian product), and the flow
 composition kernel in ``flow`` calls it too.  A Gaussian ``inverse`` goes
 through the rational one by conjugation.  ``coeffs`` is a read-only view
 of the entries as ``Fraction`` (or ``GaussianRational``) values, built on
-first use and cached; since the stored form is canonical, ``==`` and
-``hash`` compare the parts directly and keep the meaning of entrywise
-equality.
+first use and cached; since the stored form is canonical, ``==``
+compares the parts directly and keeps the meaning of entrywise equality.
 """
 
 from __future__ import annotations
@@ -258,9 +257,6 @@ class HurwitzSeries:
             return NotImplemented
         return self.domain is other.domain and self.den == other.den and self.parts == other.parts
 
-    def __hash__(self):
-        return hash((self.den, self.domain, *map(tuple, self.parts)))
-
     def _check(self, other):
         if not isinstance(other, HurwitzSeries):
             raise TypeError(f"expected a HurwitzSeries, got {other!r}")
@@ -413,15 +409,6 @@ class HurwitzSeries:
         for b in reversed(terms[:-1]):
             acc = acc * point + b
         return acc
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self):
-        return {
-            "domain": self.domain.value,
-            "orderX": self.order,
-            "coeffs": [format_scalar(c) for c in self.coeffs],
-        }
 
 
 def mul_truncating(a, b):

@@ -174,24 +174,34 @@ def format_scalar(value):
         ) from None
 
 
+def _fraction(literal):
+    try:
+        return Fraction(literal)
+    except ValueError:  # raised by text-to-int conversion beyond the interpreter's limit
+        raise ValueError(
+            f"scalar literal has more than {sys.get_int_max_str_digits()} digits "
+            "in its numerator or denominator"
+        ) from None
+
+
 def parse_scalar(text, domain=None):
     """Parse a scalar string; with a domain, coerce (or reject) accordingly."""
     compact = "".join(text.split())
     value = None
     m = _PURE_IMAG_RE.match(compact)
     if m:
-        mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        mag = _fraction(m.group(2)) if m.group(2) else Fraction(1)
         value = GaussianRational(0, -mag if m.group(1) else mag)
     else:
         m = _COMBO_RE.match(compact)
         if m:
-            mag = Fraction(m.group(3)) if m.group(3) else Fraction(1)
+            mag = _fraction(m.group(3)) if m.group(3) else Fraction(1)
             im = -mag if m.group(2) == "-" else mag
-            value = GaussianRational(Fraction(m.group(1)), im)
+            value = GaussianRational(_fraction(m.group(1)), im)
         else:
             m = _PURE_REAL_RE.match(compact)
             if m:
-                value = Fraction(compact)
+                value = _fraction(compact)
     if value is None:
         raise ValueError(f"not a scalar literal: {text!r}")
     if domain is None:

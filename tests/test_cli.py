@@ -4,15 +4,17 @@ import hashlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from flowring import cli
+from flowring.autonomous import autonomous_sequence
 from flowring.bell import partitions
 from flowring.cli import main
-from flowring.expr import series_from_text
-from flowring.flow import flow_series
-from flowring.scalars import Domain, parse_scalar
+from flowring.expr import parse, series_from_text
+from flowring.flow import flow_series, match_closed_form
+from flowring.scalars import Domain, format_scalar, parse_scalar
 
 
 def run_cli(*argv):
@@ -700,6 +702,10 @@ GOLDEN = {
         ["series", "--field=(10^100)^100"],
         2, "14909a6cac68a6c8ae9e2e5ca361ef23ca0b63d62ff9544c7f6155ac8d280588",
     ),
+    "series-rows-beyond-digit-limit": (
+        ["series", "--field=(10^100)^42*x^2", "--order-t=3"],
+        2, "14909a6cac68a6c8ae9e2e5ca361ef23ca0b63d62ff9544c7f6155ac8d280588",
+    ),
     "series-coefficient-beyond-digit-limit-json": (
         ["series", "--field=(10^100)^100", "--format=json"],
         2, "14909a6cac68a6c8ae9e2e5ca361ef23ca0b63d62ff9544c7f6155ac8d280588",
@@ -710,7 +716,7 @@ GOLDEN = {
     ),
     "decompose-coefficient-beyond-digit-limit": (
         ["decompose", "--mode=sum", "--part=(10^100)^100", "--part=x"],
-        2, "681d6699e0d468009b093535297632447b7a97531b0e066781f8a6389a77a433",
+        2, "14909a6cac68a6c8ae9e2e5ca361ef23ca0b63d62ff9544c7f6155ac8d280588",
     ),
     "decompose-coefficient-beyond-digit-limit-json": (
         ["decompose", "--mode=sum", "--part=(10^100)^100", "--part=x", "--format=json"],
@@ -728,11 +734,21 @@ def test_golden_output_digests(name, monkeypatch):
     assert _sha256(f"{code}\n{out}\0{err}") == digest
 
 
+@pytest.mark.parametrize("name", sorted(n for n, entry in GOLDEN.items() if entry[1] in (1, 2, 3)))
+def test_a_failing_command_writes_nothing_to_stdout(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, expected_code, _ = GOLDEN[name]
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (expected_code, "")
+    assert err
+
+
 def test_a_bell_debug_value_beyond_the_digit_limit_is_a_usage_error():
-    # --b and --a are flags; Python's own message differs between versions
+    # --b and --a are flags, so a value beyond the limit is a usage error
     code, out, err = run_cli("bell-debug", "--n", "1", "--b", "7" * 4301, "--a", "1")
     assert (code, out) == (3, "")
-    assert err.startswith("usage error: ") and "4301 digits" in err
+    assert err.startswith("usage error: ") and "more than 4300 digits" in err
+    assert "set_int_max_str_digits" not in err
 
 
 GARBAGE_FREE_RUNS = [
@@ -783,6 +799,28 @@ def test_flow_rows_match_monomial_coefficients():
         assert values[n + 1] == str(math.factorial(n) * math.factorial(n + 1))
 
 
+def _assert_sequence_json(payload, key, reference):
+    """The printed field and terms of a sequence equal the reference's, and parse back to them."""
+    assert list(payload) == ["field", "orderT", key]
+    assert payload["orderT"] == reference.order_t
+    printed = [payload["field"], *payload[key]]
+    for entry, series in zip(printed, [reference.field, *reference.terms], strict=True):
+        assert list(entry) == ["domain", "orderX", "coeffs"]
+        assert entry["domain"] == reference.domain.value and entry["orderX"] == series.order
+        assert entry["coeffs"] == [format_scalar(c) for c in series.coeffs]
+        assert [parse_scalar(c, reference.domain) for c in entry["coeffs"]] == list(series.coeffs)
+
+
+def test_series_json_round_trips_bit_exactly():
+    code, out, _ = run_cli(
+        "series", "--field", "1/3-2/5*x+x^2", "--order-x", "9", "--order-t", "4",
+        "--format", "json",
+    )
+    assert code == 0
+    reference = autonomous_sequence(series_from_text("1/3-2/5*x+x^2", 9), 4)
+    _assert_sequence_json(json.loads(out), "terms", reference)
+
+
 def test_flow_json_round_trips_bit_exactly():
     code, out, _ = run_cli(
         "flow", "--field", "exp(i*x)", "--domain", "gaussian",
@@ -791,13 +829,8 @@ def test_flow_json_round_trips_bit_exactly():
     assert code == 0
     payload = json.loads(out)
     reference = flow_series(series_from_text("exp(i*x)", 8, Domain.GAUSSIAN), 4)
-    assert list(payload) == ["field", "orderT", "tcoeffs"]
-    assert payload["tcoeffs"] == reference.to_json_dict()["terms"]
-    assert payload["orderT"] == 4
-    printed = [payload["field"], *payload["tcoeffs"]]
-    for entry, series in zip(printed, [reference.field, *reference.terms], strict=True):
-        assert entry["domain"] == "gaussian" and entry["orderX"] == series.order
-        assert [parse_scalar(c, Domain.GAUSSIAN) for c in entry["coeffs"]] == list(series.coeffs)
+    _assert_sequence_json(payload, "tcoeffs", reference)
+    assert payload["tcoeffs"][0]["coeffs"][1] == "1"  # the flow starts at x
 
 
 def test_eval_reports_closed_form_and_rk4():
@@ -823,7 +856,14 @@ def test_eval_json_format():
     payload = json.loads(out)
     assert abs(payload["series"] - 0.1 / 0.95) < 1e-10
     assert abs(payload["closed_form"] - 0.1 / 0.95) < 1e-12
-    assert payload["closed_form_kind"]["kind"] == "power"
+    assert payload["closed_form_kind"] == {"kind": "power", "params": ["1", "2"]}
+
+    code, out, _ = run_cli("eval", "--field=-3/2*x^4", "--x=0.1", "--t=0.5", "--format=json")
+    assert code == 0
+    kind = json.loads(out)["closed_form_kind"]
+    assert kind["kind"] == "power"
+    params = tuple(parse_scalar(p) for p in kind["params"])
+    assert params == (Fraction(-3, 2), 4) == match_closed_form(parse("-3/2*x^4")).params
 
 
 def test_decompose_text_verdict():

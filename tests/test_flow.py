@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from fractions import Fraction
@@ -27,7 +26,7 @@ from flowring.flow import (
     time_scale,
 )
 from flowring.hurwitz import HurwitzSeries, add_truncating, mul_truncating
-from flowring.scalars import Domain, GaussianRational, parse_scalar
+from flowring.scalars import Domain, GaussianRational
 from flowring.verify import random_polynomial_series
 
 
@@ -446,22 +445,3 @@ def test_decompose_flow_examples():
         decompose_flow([], "sum", 5)
     with pytest.raises(OutOfRangeError):
         decompose_flow(parts, "divide", 5)
-
-
-def test_flow_json_round_trip():
-    f = series_from_text("exp(i*x)", 8, Domain.GAUSSIAN)
-    flow = flow_series(f, 4)
-    assert flow == autonomous_sequence(f, 4)
-    payload = json.loads(json.dumps(flow.to_json_dict()))
-    assert payload["orderT"] == 4
-    for printed, series in zip([payload["field"], *payload["terms"]], [f, *flow.terms], strict=True):
-        assert printed["domain"] == "gaussian" and printed["orderX"] == series.order
-        assert [parse_scalar(c, Domain.GAUSSIAN) for c in printed["coeffs"]] == list(series.coeffs)
-    assert payload["terms"][0]["coeffs"][1] == "1"
-
-
-def test_closed_form_json_round_trip():
-    cf = ClosedFormFlow(FlowKind.POWER, (Fraction(-3, 2), 4))
-    payload = json.loads(json.dumps(cf.to_json_dict()))
-    assert payload["kind"] == "power"
-    assert tuple(parse_scalar(p) for p in payload["params"]) == cf.params

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 import sys
@@ -23,7 +22,7 @@ from flowring.hurwitz import (
     mul_truncating,
     power_truncating,
 )
-from flowring.scalars import Domain, GaussianRational, parse_scalar
+from flowring.scalars import Domain, GaussianRational
 from flowring.verify import random_series, random_unit_series
 
 
@@ -263,20 +262,6 @@ def test_to_domain_round_trip():
         bad.to_domain(Domain.RATIONAL)
 
 
-def test_json_round_trip():
-    rng = random.Random(3)
-    a = random_series(rng, 9)
-    payload = json.loads(json.dumps(a.to_json_dict()))
-    assert [parse_scalar(c, Domain.RATIONAL) for c in payload["coeffs"]] == list(a.coeffs)
-    assert payload["domain"] == "rational"
-    assert payload["orderX"] == 9
-    g = random_series(rng, 7, Domain.GAUSSIAN)
-    payload = json.loads(json.dumps(g.to_json_dict()))
-    assert [parse_scalar(c, Domain.GAUSSIAN) for c in payload["coeffs"]] == list(g.coeffs)
-    assert payload["domain"] == "gaussian"
-    assert payload["orderX"] == 7
-
-
 def _assert_canonical(series):
     """Positive denominator, gcd 1 with every numerator, and the view agrees."""
     assert series.den > 0
@@ -287,8 +272,7 @@ def _assert_canonical(series):
         else GaussianRational(Fraction(m, series.den), Fraction(i, series.den))
         for m, i in zip(series.parts[0], series.parts[-1])
     )
-    rebuilt = HurwitzSeries(series.coeffs, series.domain)
-    assert rebuilt == series and hash(rebuilt) == hash(series)
+    assert HurwitzSeries(series.coeffs, series.domain) == series
 
 
 @settings(max_examples=100, deadline=None)
