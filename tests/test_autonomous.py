@@ -20,7 +20,7 @@ from flowring.errors import (
 )
 from flowring.expr import series_from_text
 from flowring.hurwitz import HurwitzSeries, add_truncating, mul_truncating
-from flowring.scalars import Domain, GaussianRational
+from flowring.scalars import Domain, GaussianRational, parse_scalar
 from flowring.verify import random_polynomial_series, random_series
 
 
@@ -186,6 +186,17 @@ def test_honest_orders_shrink():
     f = series_from_text("x^3-x", 9)
     seq = autonomous_sequence(f, 5)
     assert [t.order for t in seq.terms] == [9, 9, 8, 7, 6, 5]
+
+
+def test_json_round_trip(cli_json):
+    seq = autonomous_sequence(series_from_text("1+x^2", 8), 4)
+    payload = cli_json("series", "--field", "1+x^2", "--order-x", "8", "--order-t", "4",
+                       "--format", "json")
+    assert payload["orderT"] == 4
+    for printed, series in zip([payload["field"], *payload["terms"]], [seq.field, *seq.terms],
+                               strict=True):
+        assert printed["domain"] == "rational" and printed["orderX"] == series.order
+        assert [parse_scalar(c, Domain.RATIONAL) for c in printed["coeffs"]] == list(series.coeffs)
 
 
 # eval-oracle inputs on which |series - rk4| exceeds 1e-5 at N = 16, M = 12: the gap is

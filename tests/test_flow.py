@@ -26,7 +26,7 @@ from flowring.flow import (
     time_scale,
 )
 from flowring.hurwitz import HurwitzSeries, add_truncating, mul_truncating
-from flowring.scalars import Domain, GaussianRational
+from flowring.scalars import Domain, GaussianRational, parse_scalar
 from flowring.verify import random_polynomial_series
 
 
@@ -445,3 +445,24 @@ def test_decompose_flow_examples():
         decompose_flow([], "sum", 5)
     with pytest.raises(OutOfRangeError):
         decompose_flow(parts, "divide", 5)
+
+
+def test_flow_json_round_trip(cli_json):
+    f = series_from_text("exp(i*x)", 8, Domain.GAUSSIAN)
+    flow = flow_series(f, 4)
+    assert flow == autonomous_sequence(f, 4)
+    payload = cli_json("flow", "--field", "exp(i*x)", "--domain", "gaussian",
+                       "--order-x", "8", "--order-t", "4", "--format", "json")
+    assert payload["orderT"] == 4
+    for printed, series in zip([payload["field"], *payload["tcoeffs"]], [f, *flow.terms],
+                               strict=True):
+        assert printed["domain"] == "gaussian" and printed["orderX"] == series.order
+        assert [parse_scalar(c, Domain.GAUSSIAN) for c in printed["coeffs"]] == list(series.coeffs)
+    assert payload["tcoeffs"][0]["coeffs"][1] == "1"
+
+
+def test_closed_form_json_round_trip(cli_json):
+    cf = ClosedFormFlow(FlowKind.POWER, (Fraction(-3, 2), 4))
+    payload = cli_json("eval", "--field=-3/2*x^4", "--x=0.1", "--t=0.5", "--format=json")
+    assert payload["closed_form_kind"]["kind"] == "power"
+    assert tuple(parse_scalar(p) for p in payload["closed_form_kind"]["params"]) == cf.params

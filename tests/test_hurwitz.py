@@ -15,6 +15,7 @@ from flowring.errors import (
     OrderMismatchError,
     OutOfRangeError,
 )
+from flowring.expr import series_from_text
 from flowring.hurwitz import (
     HurwitzSeries,
     add_truncating,
@@ -22,7 +23,7 @@ from flowring.hurwitz import (
     mul_truncating,
     power_truncating,
 )
-from flowring.scalars import Domain, GaussianRational
+from flowring.scalars import Domain, GaussianRational, parse_scalar
 from flowring.verify import random_series, random_unit_series
 
 
@@ -260,6 +261,22 @@ def test_to_domain_round_trip():
     bad = HurwitzSeries.make([GaussianRational(0, 1)], Domain.GAUSSIAN)
     with pytest.raises(DomainMismatchError):
         bad.to_domain(Domain.RATIONAL)
+
+
+def test_json_round_trip(cli_json):
+    # a bare series is printed as the field of the series and flow commands
+    text = "1/3-2/5*x+x^2-7*x^5"
+    field = cli_json("series", "--field", text, "--order-x", "9", "--order-t", "1",
+                     "--format", "json")["field"]
+    assert list(field) == ["domain", "orderX", "coeffs"]
+    assert field["domain"] == "rational" and field["orderX"] == 9
+    expected = series_from_text(text, 9).coeffs
+    assert [parse_scalar(c, Domain.RATIONAL) for c in field["coeffs"]] == list(expected)
+    field = cli_json("flow", "--field", "exp(i*x)", "--domain", "gaussian", "--order-x", "7",
+                     "--order-t", "1", "--format", "json")["field"]
+    assert field["domain"] == "gaussian" and field["orderX"] == 7
+    expected = series_from_text("exp(i*x)", 7, Domain.GAUSSIAN).coeffs
+    assert [parse_scalar(c, Domain.GAUSSIAN) for c in field["coeffs"]] == list(expected)
 
 
 def _assert_canonical(series):
