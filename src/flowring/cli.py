@@ -111,17 +111,24 @@ def _check_orders(args):
         raise _UsageError("--order-t must lie in 1..order-x")
 
 
+def _coeff_texts(series):
+    """The text of each coefficient of ``series``, read from its integer parts."""
+    den = series.den
+    if len(series.parts) == 1:
+        return [format_scalar(m, den) for m in series.parts[0]]
+    return [format_scalar(re, den, im) for re, im in zip(*series.parts)]
+
+
 def _series_rows(label, terms, out):
     for n, term in enumerate(terms):
-        row = " ".join(format_scalar(c) for c in term.coeffs)
-        out.write(f"{label.format(n=n)} {row}\n")
+        out.write(f"{label.format(n=n)} {' '.join(_coeff_texts(term))}\n")
 
 
 def _series_json(series):
     return {
         "domain": series.domain.value,
         "orderX": series.order,
-        "coeffs": [format_scalar(c) for c in series.coeffs],
+        "coeffs": _coeff_texts(series),
     }
 
 
@@ -141,9 +148,13 @@ def _json_text(value, indent=""):
     cycle of closures behind on every call, garbage that only the cyclic
     collector frees; this one leaves none.
     """
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'  # json.dumps escapes nothing in such a string
+        return json.dumps(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        items = [f"{_json_text(k)}: {_json_text(v, inner)}" for k, v in value.items()]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
         items = [_json_text(v, inner) for v in value]
@@ -164,7 +175,7 @@ def _cmd_series(args, out):
     if args.format == "json":
         out.write(_json_text(_sequence_json(seq, "tcoeffs" if is_flow else "terms")) + "\n")
     else:
-        out.write(f"field: {' '.join(format_scalar(c) for c in field.coeffs)}\n")
+        out.write(f"field: {' '.join(_coeff_texts(field))}\n")
         _series_rows("t[{n}]:" if is_flow else "A[{n}]:", seq.terms, out)
     return EXIT_OK
 

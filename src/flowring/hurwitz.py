@@ -20,10 +20,13 @@ generators (such a tuple is resized after it is allocated and is freed
 to another length's cache).  Every operation works on these ints and
 reduces its result with one gcd, not one per coefficient.  The binomial
 convolution ``*`` runs on plain ints with binomials read from a
-module-level table of Pascal rows; ``_convolve_parts`` holds that product
+module-level table of Pascal rows, and sums only over the support (one
+past the last nonzero entry, FLINT's normalised ``fmpz_poly`` length) of
+the operand whose support is shorter; ``_convolve_parts`` holds that product
 rule (three real convolutions for a Gaussian product), and the flow
 composition kernel in ``flow`` calls it too.  A Gaussian ``inverse`` goes
-through the rational one by conjugation.  ``coeffs`` is a read-only view
+through the rational one by conjugation.  Printing reads the parts and
+the denominator through ``format_scalar``.  ``coeffs`` is a read-only view
 of the entries as ``Fraction`` (or ``GaussianRational``) values, built on
 first use and cached; since the stored form is canonical, ``==``
 compares the parts directly and keeps the meaning of entrywise equality.
@@ -91,12 +94,29 @@ def _dot(row, x, y_reversed):
     return sum(map(mul, map(mul, row, x), y_reversed))
 
 
+def _support(v):
+    """One past the last nonzero entry of ``v``: 0 when every entry is zero."""
+    n = len(v)
+    while n and not v[n - 1]:
+        n -= 1
+    return n
+
+
 def _convolve(x, y):
-    """Integer binomial convolution S_n = sum_k C(n, k) x_k y_{n-k}."""
-    rows = binomial_rows(len(x) - 1)
-    y_rev = y[::-1]
+    """Integer binomial convolution S_n = sum_k C(n, k) x_k y_{n-k} of equal-length vectors.
+
+    The sum runs only over the support of the operand with the shorter
+    support, which goes first (C(n, k) = C(n, n - k) makes the product
+    symmetric); the terms past it are known zeros.
+    """
+    sx, sy = _support(x), _support(y)
+    if sy < sx:
+        x, y, sx = y, x, sy
     top = len(y) - 1
-    return [_dot(rows[n], x, y_rev[top - n :]) for n in range(len(x))]
+    rows = binomial_rows(top)
+    y_rev = y[::-1]
+    x = x[:sx]
+    return [_dot(rows[n], x, y_rev[top - n :]) for n in range(top + 1)]
 
 
 def _convolve_parts(x, y):
@@ -247,7 +267,8 @@ class HurwitzSeries:
         return not any(map(any, self.parts))
 
     def __repr__(self):
-        shown = " ".join(format_scalar(c) for c in self.coeffs[:8])
+        im = self.parts[1] if self.domain is Domain.GAUSSIAN else [0] * 8
+        shown = " ".join([format_scalar(r, self.den, i) for r, i in zip(self.parts[0][:8], im)])
         if self.order >= 8:
             shown += " ..."
         return f"HurwitzSeries[{self.domain.value}, N={self.order}]({shown})"
@@ -386,9 +407,9 @@ class HurwitzSeries:
             re = self.parts[0]
             return self.from_integers((re, [0] * len(re)), self.den, domain)
         re, im = self.parts
-        for k, m in enumerate(im):
+        for r, m in zip(re, im):
             if m:
-                raise DomainMismatchError(f"coefficient {format_scalar(self.coeffs[k])} is not real")
+                raise DomainMismatchError(f"coefficient {format_scalar(r, self.den, m)} is not real")
         return self.from_integers((re,), self.den, domain)
 
     # -- evaluation ----------------------------------------------------

@@ -10,6 +10,7 @@ the repeated squaring behind every exact power in the package.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import sys
@@ -150,23 +151,34 @@ _PURE_IMAG_RE = re.compile(r"^(-?)(\d+(?:/\d+)?)?i$")
 _COMBO_RE = re.compile(rf"^({_RAT})([+-])(\d+(?:/\d+)?)?i$")
 
 
-def format_scalar(value):
-    """Canonical text for a scalar: "p/q", "p/q+r/si", "i", "-i", ...
+def _ratio_text(m, den):
+    """Text of the int ratio m / den, den > 0: "p" or "p/q" in lowest terms."""
+    g = math.gcd(m, den)
+    return str(m // den) if g == den else f"{m // g}/{den // g}"
 
-    parse_scalar round-trips this output bit exactly.  A numerator or
-    denominator longer than Python converts to text raises DigitLimitError.
+
+def format_scalar(re, den=1, im=0):
+    """Canonical text for (re + im*i) / den: "p/q", "p/q+r/si", "i", "-i", ...
+
+    ``re`` and ``im`` are ints over the int ``den`` > 0, reduced here with
+    one gcd per part, or ``re`` alone is a scalar: an int, a ``Fraction``
+    or a ``GaussianRational``.  parse_scalar round-trips this output bit
+    exactly.  A numerator or denominator longer than Python converts to
+    text raises DigitLimitError.
     """
-    real, im = (value.re, value.im) if isinstance(value, GaussianRational) else (Fraction(value), 0)
+    if not isinstance(re, int):
+        re, im = (re.re, re.im) if isinstance(re, GaussianRational) else (Fraction(re), 0)
+        den = math.lcm(re.denominator, im.denominator)
+        re, im = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
     try:
-        if im == 0:
-            return str(real)
+        if not im:
+            return _ratio_text(re, den)
         mag = abs(im)
-        imag = "i" if mag == 1 else f"{mag}i"
-        if real == 0:
-            sign = "-" if im < 0 else ""
-            return sign + imag
+        imag = "i" if mag == den else f"{_ratio_text(mag, den)}i"
+        if not re:
+            return "-" + imag if im < 0 else imag
         sign = "+" if im > 0 else "-"
-        return f"{real}{sign}{imag}"
+        return f"{_ratio_text(re, den)}{sign}{imag}"
     except ValueError:  # raised by int-to-text conversion beyond the interpreter's limit
         raise DigitLimitError(
             f"a scalar to print has more than {sys.get_int_max_str_digits()} digits, "
@@ -177,6 +189,8 @@ def format_scalar(value):
 def _fraction(literal):
     try:
         return Fraction(literal)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar literal {literal!r}") from None
     except ValueError:  # raised by text-to-int conversion beyond the interpreter's limit
         raise ValueError(
             f"scalar literal has more than {sys.get_int_max_str_digits()} digits "

@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowring import cli
 from flowring.autonomous import autonomous_sequence
@@ -510,6 +511,10 @@ GOLDEN = {
         ["bell-debug", "--n", "3", "--b", "1", "--a", "1"],
         3, "d27d0ff4b0893b8f97512cb479e3681b5a52f495be5f35b5cff6ac4cd5cfef41",
     ),
+    "bell-debug-zero-denominator": (
+        ["bell-debug", "--n", "1", "--b", "1/0", "--a", "1"],
+        3, "a202282644898f4be93ede9948dca95e200267c89927029ee222b9b702481f18",
+    ),
     # rk4-debug, a former test hook
     "rk4-debug-default-steps": (
         ["rk4-debug", "--field=x", "--x=1", "--t=0.5"],
@@ -749,6 +754,26 @@ def test_a_bell_debug_value_beyond_the_digit_limit_is_a_usage_error():
     assert (code, out) == (3, "")
     assert err.startswith("usage error: ") and "more than 4300 digits" in err
     assert "set_int_max_str_digits" not in err
+
+
+# strings with quotes, backslashes, control characters, DEL and non-ASCII text
+_json_strings = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\x80\xe9\u20ac\u4e2d\U0001f600 /')),
+    max_size=12,
+)
+_json_payloads = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _json_strings),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_json_strings, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None)
+@given(_json_payloads)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 GARBAGE_FREE_RUNS = [

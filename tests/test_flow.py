@@ -224,14 +224,14 @@ def test_semigroup_check_multiplies_series_only_in_the_product_recursion(monkeyp
     assert len(calls) <= 5
 
 
-def _reference_mul_bivar(u, v, cap):
+def _reference_mul_bivar(u, v, cap, mul=mul_truncating):
     comb = math.comb
     out = []
     top = min(len(u) + len(v) - 2, cap)
     for p in range(top + 1):
         acc = None
         for p1 in range(max(0, p - len(v) + 1), min(p, len(u) - 1) + 1):
-            term = mul_truncating(u[p1], v[p - p1])
+            term = mul(u[p1], v[p - p1])
             c = comb(p, p1)
             if c != 1:
                 term = term.scale(c)
@@ -240,7 +240,7 @@ def _reference_mul_bivar(u, v, cap):
     return out
 
 
-def _reference_compose(outer, inner, cap):
+def _reference_compose(outer, inner, cap, mul=mul_truncating):
     """The Horner composition over HurwitzSeries that the integer kernel replaced."""
     domain = outer.domain
     budget = inner[0].order
@@ -248,7 +248,7 @@ def _reference_compose(outer, inner, cap):
     ordinary = outer.to_polynomial()
     result = [HurwitzSeries.constant(ordinary[k_top], budget, domain)]
     for j in range(k_top - 1, -1, -1):
-        result = _reference_mul_bivar(result, inner, cap)
+        result = _reference_mul_bivar(result, inner, cap, mul)
         result[0] = add_truncating(
             result[0], HurwitzSeries.constant(ordinary[j], budget, domain)
         )
@@ -291,6 +291,45 @@ def test_compose_matches_the_horner_reference(gaussian, data):
             assert [s.order for s in got] == [s.order for s in want]
             assert [type(c) for s in got for c in s.coeffs] == \
                 [type(c) for s in want for c in s.coeffs]
+
+
+def _schoolbook_mul_truncating(a, b):
+    """The product of a and b cut to the shorter order, one scalar operation at a time."""
+    n = min(a.order, b.order) + 1
+    x, y, zero = a.coeffs[:n], b.coeffs[:n], a.domain.zero()
+    return HurwitzSeries(
+        [sum((math.comb(m, k) * x[k] * y[m - k] for k in range(m + 1)), zero) for m in range(n)],
+        a.domain,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.data())
+def test_compose_on_zero_tails_matches_the_schoolbook_horner_reference(gaussian, data):
+    # rows and outer series end in zero tails of drawn lengths, re and im apart
+    domain = Domain.GAUSSIAN if gaussian else Domain.RATIONAL
+    order = data.draw(st.integers(min_value=2, max_value=10))
+    order_t = data.draw(st.integers(min_value=1, max_value=order // 2))
+
+    def part(size):
+        support = data.draw(st.integers(min_value=0, max_value=size))
+        head = data.draw(st.lists(_small_fractions, min_size=support, max_size=support))
+        return head + [0] * (size - support)
+
+    def series(size):
+        values = part(size)
+        if gaussian:
+            values = [GaussianRational(r, i) for r, i in zip(values, part(size))]
+        return HurwitzSeries(values, domain)
+
+    inner = [series(order - p + 1) for p in range(order_t + 1)]
+    q = data.draw(st.integers(min_value=0, max_value=order_t))
+    cap = data.draw(st.integers(min_value=0, max_value=order_t - q))
+    outer = series(order - q + 1)
+    want = _reference_compose(outer, inner, cap, _schoolbook_mul_truncating)
+    got = flow_module._compose(outer, inner, cap)
+    assert [s.coeffs for s in got] == [s.coeffs for s in want]
+    assert [s.order for s in got] == [s.order for s in want]
 
 
 def test_composition_coefficients_have_honest_orders():

@@ -155,6 +155,48 @@ def test_integer_kernel_matches_schoolbook(operands):
     assert _types(inverse.coeffs) == _types(expected)
 
 
+@st.composite
+def _tailed_operands(draw):
+    """Two series whose parts end in zero tails of drawn lengths.
+
+    Each part has its own support (one past its last nonzero entry, or
+    less when a drawn entry is zero), so a Gaussian series has re and im
+    supports apart, and either operand may be all zeros; the two operands
+    may also share their supports.
+    """
+    domain = draw(st.sampled_from(Domain))
+    size = draw(st.integers(0, 24)) + 1
+    supports = draw(st.lists(st.integers(0, size), min_size=4, max_size=4))
+    if draw(st.booleans()):
+        supports[2:] = supports[:2]
+
+    def part(support):
+        head = draw(st.lists(_entries[Domain.RATIONAL], min_size=support, max_size=support))
+        return head + [0] * (size - support)
+
+    def series(re_support, im_support):
+        if domain is Domain.RATIONAL:
+            return HurwitzSeries(part(re_support), domain)
+        pairs = zip(part(re_support), part(im_support))
+        return HurwitzSeries([GaussianRational(r, i) for r, i in pairs], domain)
+
+    return series(*supports[:2]), series(*supports[2:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tailed_operands())
+def test_support_cut_matches_schoolbook(operands):
+    a, b = operands
+    for x, y in ((a, b), (b, a)):
+        product = x * y
+        expected = _schoolbook_mul(x, y)
+        assert product.coeffs == expected
+        assert _types(product.coeffs) == _types(expected)
+    for x in (a, b):
+        if x.coeffs[0]:
+            assert x.inverse().coeffs == _schoolbook_inverse(x)
+
+
 def test_binomial_rows_grow_safely_across_threads(monkeypatch):
     expected = [[math.comb(n, k) for k in range(n + 1)] for n in range(101)]
     interval = sys.getswitchinterval()

@@ -1,12 +1,18 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from flowring.errors import DomainMismatchError, DomainRequiredError, OutOfRangeError
+from flowring.errors import (
+    DigitLimitError,
+    DomainMismatchError,
+    DomainRequiredError,
+    OutOfRangeError,
+)
 from flowring.expr import _poly_mul
 from flowring.hurwitz import HurwitzSeries, binomial_rows
 from flowring.scalars import (
@@ -144,6 +150,53 @@ def test_gaussian_format_parse_round_trip(g):
     assert parse_scalar(format_scalar(g)) == g
 
 
+def _fraction_text(re, im):
+    """The text of re + im*i by the rules on Fractions: str of each part, "i" for |im| = 1."""
+    if im == 0:
+        return str(re)
+    mag = abs(im)
+    imag = "i" if mag == 1 else f"{mag}i"
+    if re == 0:
+        return ("-" if im < 0 else "") + imag
+    return f"{re}{'+' if im > 0 else '-'}{imag}"
+
+
+@st.composite
+def _integer_scalars(draw):
+    """(m, den, im) with den > 0, including zero parts and im = +-den."""
+    ints = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(10**40), 10**40))
+    den = draw(st.one_of(st.just(1), st.integers(1, 60), st.integers(1, 10**30)))
+    m = draw(ints)
+    im = draw(st.one_of(ints, st.sampled_from([den, -den])))
+    return m, den, im
+
+
+@given(_integer_scalars())
+def test_format_scalar_from_integer_parts(parts):
+    m, den, im = parts
+    re, imag = Fraction(m, den), Fraction(im, den)
+    text = format_scalar(m, den, im)
+    assert text == _fraction_text(re, imag)
+    value = GaussianRational(re, imag) if im else re
+    assert format_scalar(value) == text
+    assert parse_scalar(text) == value
+    if not im:
+        assert format_scalar(m, den) == text
+        assert format_scalar(GaussianRational(re, 0)) == text
+
+
+def test_format_scalar_keeps_the_digit_limit():
+    digits = sys.get_int_max_str_digits()
+    longest, beyond = 10**digits - 1, 10**digits
+    assert len(format_scalar(longest)) == digits
+    assert format_scalar(-longest, 1, longest).endswith("i")
+    assert format_scalar(1, longest) == f"1/{longest}"
+    for args in [(beyond,), (-beyond, 1), (1, beyond), (0, 1, beyond), (beyond, 1, 1),
+                 (Fraction(1, beyond),), (GaussianRational(0, beyond),)]:
+        with pytest.raises(DigitLimitError):
+            format_scalar(*args)
+
+
 def test_parse_scalar_accepts_spaces():
     assert parse_scalar("3/2 - i") == GaussianRational(Fraction(3, 2), -1)
     assert parse_scalar(" 5 / 6 ") == Fraction(5, 6)
@@ -156,6 +209,12 @@ def test_parse_scalar_domain_handling():
         parse_scalar("i", Domain.RATIONAL)
     with pytest.raises(ValueError):
         parse_scalar("spam")
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "1/0i", "2+5/0i", "7/00"])
+def test_parse_scalar_names_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar(text)
 
 
 def test_domain_coercion():
